@@ -36,6 +36,8 @@ SUITES = (
 
 def _compute_terms(m: int, N: int, engine: str) -> list[int]:
     if engine == "oracle":
+        if N < 0:
+            raise ValueError("N must be >= 0")
         if N > core.ORACLE_LIMIT:
             raise ValueError(
                 f"refusing exhaustive enumeration at n={N}: Bell-number growth "
@@ -164,7 +166,9 @@ def cmd_stats(args) -> int:
 
 def _suite_table1(m, N):
     N = min(N if N is not None else 15, 15)
-    ms = (m,) if m else tuple(TABLE1)
+    if m is not None and m not in TABLE1:
+        raise ValueError(f"table1 covers m = {min(TABLE1)}..{max(TABLE1)}, not m = {m}")
+    ms = tuple(TABLE1) if m is None else (m,)
     out = []
     for mm in ms:
         seq = gtree.sequence(mm, N)
@@ -180,7 +184,7 @@ def _suite_table1(m, N):
 
 
 def _suite_cross_engine(m, N):
-    m = m or 2
+    m = 2 if m is None else m
     N = N if N is not None else 10
     ref = gtree.sequence(m, N)
     out = []
@@ -196,7 +200,7 @@ def _suite_cross_engine(m, N):
 
 
 def _suite_oracle(m, N):
-    m = m or 2
+    m = 2 if m is None else m
     N = min(N if N is not None else 9, core.ORACLE_LIMIT)
     want = [core.count_nonnesting(n, m) for n in range(N + 1)]
     out = []
@@ -220,7 +224,7 @@ def _suite_catalan(m, N):
 
 
 def _suite_labels(m, N):
-    m = m or 2
+    m = 2 if m is None else m
     N = min(N if N is not None else 8, core.ORACLE_LIMIT)
     out = []
     for n, ms in enumerate(gtree.levels(m, N)):
@@ -231,7 +235,7 @@ def _suite_labels(m, N):
 
 
 def _suite_equidistribution(m, N):
-    m = m or 4
+    m = 4 if m is None else m
     N = min(N if N is not None else 10, core.ORACLE_LIMIT)
     out = []
     for mm in range(1, m + 1):
@@ -244,7 +248,7 @@ def _suite_equidistribution(m, N):
 
 
 def _suite_bell_prefix(m, N):
-    m = m or 6
+    m = 6 if m is None else m
     out = []
     for mm in range(1, m + 1):
         top = N if N is not None else 2 * mm + 2
@@ -297,6 +301,8 @@ _SUITE_FNS = {
 
 
 def cmd_verify(args) -> int:
+    if args.max_nesting is not None and args.max_nesting < 1:
+        raise ValueError("m must be >= 1")
     checks = _SUITE_FNS[args.suite](args.max_nesting, args.terms)
     failed = 0
     for name, ok, detail in checks:

@@ -61,18 +61,13 @@ def next_level(ms: LabelMultiset) -> LabelMultiset:
 
 def sequence(m: int, N: int) -> list[int]:
     """Counts of (m+1)-nonnesting partitions for sizes 0..N."""
-    if N < 0:
-        raise ValueError("N must be >= 0")
-    ms = root(m)
-    out = [ms.total()]
-    for _ in range(N):
-        ms = next_level(ms)
-        out.append(ms.total())
-    return out
+    return [ms.total() for ms in levels(m, N)]
 
 
 def levels(m: int, N: int):
     """Yield the multisets for levels 0..N (for marginals and tables)."""
+    if N < 0:
+        raise ValueError("N must be >= 0")
     ms = root(m)
     yield ms
     for _ in range(N):

@@ -7,18 +7,19 @@ with exact integer coefficients.
   each step combines the previous t-coefficient (a polynomial in u_1..u_m)
   through two families of divided differences, which must divide exactly.
 
-* The x-engine iterates the rearranged kernel-form equation
-      F <- s + s*t*h*F
-           - s*t*( (s/(s-x_1)) * F(0,x_2,..,x_m;t)/x_1
-                   + sum_j F(.., x_{j-1}+x_j, 0, ..;t)/x_j )
-  with s = 1+x_1+..+x_m and h = 1 + 1/x_1 + .. + 1/x_m, starting from
-  F = s. One application extends correctness by one t-order. States are
-  kept finite by the w-grading: a monomial at t-order k is retained iff its
-  total x-degree is <= W - k. Every right-hand operator moves a monomial of
-  weight w = degree + order to monomials of weight >= w (divisions by a
-  single x cost one degree but always ride a factor of t), so the grading
-  is closed under the iteration; `x_engine(..., weight_bound=2*N)` lets
-  tests confirm counts are unchanged under a doubled bound.
+* The x-engine solves the rearranged kernel-form equation
+      F = s + s*t*h*F
+            - s*t*( (s/(s-x_1)) * F(0,x_2,..,x_m;t)/x_1
+                    + sum_j F(.., x_{j-1}+x_j, 0, ..;t)/x_j )
+  with s = 1+x_1+..+x_m and h = 1 + 1/x_1 + .. + 1/x_m. Each right-hand
+  term but s carries a factor t, so one forward sweep from F_0 = s builds
+  t-order k+1 from t-order k alone, once. States are kept finite by the
+  w-grading: a monomial at t-order k is retained iff its total x-degree is
+  <= W - k. Every right-hand operator moves a monomial of weight
+  w = degree + order to monomials of weight >= w (divisions by a single x
+  cost one degree but always ride a factor of t), so the grading is closed
+  under the sweep; `x_engine(..., weight_bound=2*N)` lets tests confirm
+  counts are unchanged under a doubled bound.
 
 Coefficients of committed states are non-negative integers; intermediates
 may carry exponents down to -1 per variable. Anything below, or a negative
@@ -28,11 +29,9 @@ exponent surviving into a committed state, raises SeriesConsistencyError.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import comb
 
 from .polyops import (
-    constant_term_of_product,
     min_exponent,
     poly_add,
     poly_eval,
@@ -126,6 +125,8 @@ def u_series(m: int, N: int) -> list[dict]:
     exponent tuples (the labels) to counts."""
     if m < 1:
         raise ValueError("m must be >= 1")
+    if N < 0:
+        raise ValueError("N must be >= 0")
     p = {(1,) * m: 1}
     out = [p]
     for _ in range(N):
@@ -156,28 +157,18 @@ def _h_poly(m):
     return p
 
 
-@lru_cache(maxsize=None)
-def _geometric_inverse_cached(m, D):
-    inv = {zero_mono(m): 1}
-    if m == 1:
-        return inv
-    q = {}
-    for i in range(1, m):
-        q[tuple(1 if k == i else 0 for k in range(m))] = -1
-    power = dict(inv)
+def geometric_inverse(m: int, D: int) -> dict:
+    """Power series of 1/(1 + x_2 + .. + x_m) to total degree <= D."""
+    if D < 0:
+        raise ValueError("D must be >= 0")
+    q = {tuple(1 if k == i else 0 for k in range(m)): -1 for i in range(1, m)}
+    inv = power = {zero_mono(m): 1}
     for _ in range(D):
         power = poly_mul(power, q, D)
         if not power:
             break
         inv = poly_add(inv, power)
     return inv
-
-
-def geometric_inverse(m: int, D: int) -> dict:
-    """Power series of 1/(1 + x_2 + .. + x_m) to total degree <= D."""
-    if D < 0:
-        raise ValueError("D must be >= 0")
-    return dict(_geometric_inverse_cached(m, D))
 
 
 def substitute_pair(P: dict, j: int) -> dict:
@@ -222,47 +213,44 @@ def _zero_x1_div_x1(p):
     return {(-1,) + e[1:]: c for e, c in p.items() if e[0] == 0}
 
 
-def _x_step(F, m, max_order, W):
+def _x_kernel(m, W):
+    """s, h and s/(1 + x_2 + .. + x_m), the factors every order-step uses."""
     s = _s_poly(m)
-    h = _h_poly(m)
-    ginv = _geometric_inverse_cached(m, W)
-    new = [dict() for _ in range(max_order + 1)]
-    new[0] = truncate_total_degree(_s_poly(m), W)
-    for k in range(max_order):
-        Fk = F[k] if k < len(F) else {}
-        if not Fk:
-            continue
-        cap = W - (k + 1)
-        if cap < 0:
-            continue
-        pos = poly_mul(poly_mul(Fk, h, cap), s, cap)
-        inner = poly_mul(poly_mul(_zero_x1_div_x1(Fk), ginv, cap), s, cap)
-        for j in range(2, m + 1):
-            inner = poly_add(inner, _divide_by_var(substitute_pair(Fk, j), j - 1))
-        new[k + 1] = poly_sub(pos, poly_mul(inner, s, cap))
-    for k, pk in enumerate(new):
-        if min_exponent(pk) < 0:
-            raise SeriesConsistencyError(
-                f"negative exponent survived at t-order {k}"
-            )
-    return new
+    return s, _h_poly(m), poly_mul(s, geometric_inverse(m, W), W)
+
+
+def _x_step(Fk, k, m, W, kernel):
+    """t-order k+1 of the right-hand side, from the final t-order k of F."""
+    s, h, s_ginv = kernel
+    cap = W - (k + 1)
+    pos = poly_mul(poly_mul(Fk, h, cap), s, cap)
+    inner = poly_mul(_zero_x1_div_x1(Fk), s_ginv, cap)
+    for j in range(2, m + 1):
+        inner = poly_add(inner, _divide_by_var(substitute_pair(Fk, j), j - 1))
+    out = poly_sub(pos, poly_mul(inner, s, cap))
+    if min_exponent(out) < 0:
+        raise SeriesConsistencyError(f"negative exponent survived at t-order {k + 1}")
+    return out
 
 
 def x_series(m: int, N: int, weight_bound: int | None = None) -> list[dict]:
-    """t-coefficients of the kernel-form series, iterated N+1 times from s.
+    """t-coefficients F_0..F_N of the kernel-form series, in one forward sweep.
 
     Each coefficient is truncated to total x-degree <= weight_bound - order
-    (weight_bound defaults to N, which is exact for the constant term; pass
-    2*N+2 for full coefficients through t^N).
+    (weight_bound >= N defaults to N, which is exact for the constant term;
+    pass 2*N+2 for full coefficients through t^N).
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     if N < 0:
         raise ValueError("N must be >= 0")
     W = N if weight_bound is None else weight_bound
-    F: list[dict] = [truncate_total_degree(_s_poly(m), W)]
-    for r in range(1, N + 2):
-        F = _x_step(F, m, min(r, N), W)
+    if W < N:
+        raise ValueError("weight_bound must be >= N")
+    kernel = _x_kernel(m, W)
+    F = [truncate_total_degree(kernel[0], W)]
+    for k in range(N):
+        F.append(_x_step(F[k], k, m, W, kernel))
     return F
 
 
@@ -274,18 +262,17 @@ def x_engine(
 ) -> list[int]:
     """Counting sequence via the modified x-equation: [x^0] per t-order.
 
-    With check_stable, one extra iteration is run and the constant terms
-    are required not to move.
+    With check_stable, the order-step is applied once more to every order
+    of the finished series, and each result must equal the next order.
     """
     F = x_series(m, N, weight_bound)
     zero = zero_mono(m)
-    counts = [F[k].get(zero, 0) if k < len(F) else 0 for k in range(N + 1)]
+    counts = [Fk.get(zero, 0) for Fk in F]
     if check_stable:
         W = N if weight_bound is None else weight_bound
-        F2 = _x_step(F, m, N, W)
-        again = [F2[k].get(zero, 0) if k < len(F2) else 0 for k in range(N + 1)]
-        if again != counts:
-            raise SeriesConsistencyError("constant terms not stabilized")
+        kernel = _x_kernel(m, W)
+        if any(_x_step(F[k], k, m, W, kernel) != F[k + 1] for k in range(N)):
+            raise SeriesConsistencyError("t-coefficients not stabilized")
     return counts
 
 

@@ -122,6 +122,11 @@ class TestVerify:
             main(["verify", "--suite", "nope"])
         assert exc.value.code == 2
 
+    def test_table1_names_covered_m_values(self, capsys):
+        code = main(["verify", "--suite", "table1", "-m", "9"])
+        err = capsys.readouterr().err
+        assert code == 2 and "m = 1..6" in err
+
 
 class TestLabels:
     def test_empty_partition_row(self, capsys):
@@ -168,6 +173,28 @@ class TestStats:
     def test_n0(self, capsys):
         _, out = run_cli(capsys, "stats", "-n", "0")
         assert out == "nesting,crossing,count\n0,0,1\n"
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sequence", "-m", "2", "-n", "-1", "--engine", "useries"],
+            ["sequence", "-m", "2", "-n", "-1", "--engine", "oracle"],
+            ["labels", "-m", "2", "-n", "-1"],
+            ["verify", "--suite", "table1", "-m", "9"],
+            ["verify", "--suite", "table1", "-m", "0"],
+            ["verify", "--suite", "cross-engine", "-m", "0"],
+            ["verify", "--suite", "bell-prefix", "-m", "0"],
+            ["verify", "--suite", "equidistribution", "-m", "-1"],
+        ],
+    )
+    def test_exit_2_with_one_line(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 class TestDeterminism:

@@ -77,6 +77,10 @@ class TestLevels:
                     assert ms.total() == expect
                 prev = ms
 
+    def test_rejects_negative_level(self):
+        with pytest.raises(ValueError):
+            list(gtree.levels(2, -1))
+
     def test_matches_enumeration_key_for_key(self):
         for m in (1, 2, 3):
             for n, ms in enumerate(gtree.levels(m, 8)):

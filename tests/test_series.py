@@ -1,7 +1,13 @@
 import pytest
 
 from nestcount import gtree, series
-from nestcount.polyops import poly_mul, zero_mono
+from nestcount.polyops import (
+    poly_add,
+    poly_mul,
+    poly_sub,
+    truncate_total_degree,
+    zero_mono,
+)
 from nestcount.series import (
     SeriesConsistencyError,
     geometric_inverse,
@@ -12,6 +18,30 @@ from nestcount.series import (
     x_engine,
     x_series,
 )
+
+
+def x_series_by_passes(m, N, W):
+    """Reference: the whole right-hand operator applied to every t-order,
+    N+1 times from F = s, with each product truncated as it is formed."""
+    units = [tuple(1 if k == i else 0 for k in range(m)) for i in range(m)]
+    s = {zero_mono(m): 1, **{e: 1 for e in units}}
+    h = {zero_mono(m): 1, **{tuple(-a for a in e): 1 for e in units}}
+    ginv = geometric_inverse(m, W)
+    F = [truncate_total_degree(s, W)]
+    for r in range(1, N + 2):
+        new = [truncate_total_degree(s, W)]
+        for k in range(min(r, N)):
+            Fk = F[k]
+            cap = W - (k + 1)
+            pos = poly_mul(poly_mul(Fk, h, cap), s, cap)
+            inner = poly_mul(poly_mul(series._zero_x1_div_x1(Fk), ginv, cap), s, cap)
+            for j in range(2, m + 1):
+                inner = poly_add(
+                    inner, series._divide_by_var(substitute_pair(Fk, j), j - 1)
+                )
+            new.append(poly_sub(pos, poly_mul(inner, s, cap)))
+        F = new
+    return F
 
 
 class TestUEngine:
@@ -36,6 +66,10 @@ class TestUEngine:
         for p in u_series(3, 9):
             assert all(c > 0 for c in p.values())
 
+    def test_rejects_negative_order(self):
+        with pytest.raises(ValueError):
+            u_series(2, -1)
+
     def test_division_rejects_nonzero_remainder(self):
         from nestcount.series import _divide_by_var_minus_one
 
@@ -54,6 +88,10 @@ class TestXEngine:
     def test_m2_order_zero(self):
         assert x_engine(2, 0) == [1]
 
+    def test_rejects_weight_bound_below_n(self):
+        with pytest.raises(ValueError):
+            x_series(2, 3, weight_bound=2)
+
     def test_weight_doubling_invariance(self):
         for m in (1, 2, 3):
             for N in (4, 8):
@@ -61,6 +99,13 @@ class TestXEngine:
 
     def test_stabilization_debug_mode(self):
         assert x_engine(2, 6, check_stable=True) == [1, 1, 2, 5, 15, 52, 202]
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("N", range(9))
+    @pytest.mark.parametrize("wide", [False, True])
+    def test_sweep_equals_fixpoint_passes(self, m, N, wide):
+        W = 2 * N + 2 if wide else N
+        assert x_series(m, N, W) == x_series_by_passes(m, N, W)
 
     def test_committed_states_are_nonneg_polynomials(self):
         for p in x_series(2, 8, weight_bound=18):
@@ -101,7 +146,7 @@ class TestGeometricInverse:
             (0, 0, 1): -1,
         }
 
-    @pytest.mark.parametrize("m,D", [(2, 5), (3, 4), (4, 3)])
+    @pytest.mark.parametrize("m,D", [(1, 3), (2, 5), (3, 4), (4, 3)])
     def test_defining_identity(self, m, D):
         denom = {zero_mono(m): 1}
         for i in range(1, m):
