@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from datetime import datetime, timezone
@@ -21,104 +22,83 @@ from . import __version__, core, formulas, gtree, series
 from .series import SeriesConsistencyError
 from .table1 import OEIS_IDS, TABLE1
 
-ENGINES = ("oracle", "gtree", "useries", "xseries")
-SUITES = (
-    "table1",
-    "cross-engine",
-    "oracle",
-    "catalan",
-    "labels",
-    "equidistribution",
-    "bell-prefix",
-    "m2-formula",
-)
 
-
-def _compute_terms(m: int, N: int, engine: str) -> list[int]:
-    if engine == "oracle":
-        if N < 0:
-            raise ValueError("N must be >= 0")
-        if N > core.ORACLE_LIMIT:
-            raise ValueError(
-                f"refusing exhaustive enumeration at n={N}: Bell-number growth "
-                f"makes the oracle impractical past n={core.ORACLE_LIMIT}"
-            )
-        return [core.count_nonnesting(n, m) for n in range(N + 1)]
-    if engine == "gtree":
-        return gtree.sequence(m, N)
-    if engine == "useries":
-        return series.u_engine(m, N)
-    if engine == "xseries":
-        return series.x_engine(m, N)
-    raise ValueError(f"unknown engine {engine!r}")
-
-
-def _make_record(m, engine, terms, timestamp=None, wall_time=None):
+def engines() -> dict:
+    """Engine name -> fn(m, N) giving the counts for sizes 0..N. Built per
+    call, not at import, so that an engine rebound on its module later (as
+    perfbench's tracer does) is the one that runs."""
     return {
-        "m": m,
-        "engine": engine,
-        "terms": [str(t) for t in terms],
-        "meta": {
-            "version": __version__,
-            "timestamp": timestamp,
-            "wall_time_s": wall_time,
-        },
+        "oracle": core.nonnesting_sequence,
+        "gtree": gtree.sequence,
+        "useries": series.u_engine,
+        "xseries": series.x_engine,
     }
 
 
-def _revalidate_cached(m, terms) -> bool:
-    """Cheap consistency checks on a cached sequence: decimal, starts at 1,
-    nondecreasing, and the Bell-prefix relation where it applies."""
-    if not terms or terms[0] != "1":
-        return False
-    if not all(isinstance(t, str) and t.isdigit() for t in terms):
-        return False
-    vals = [int(t) for t in terms]
-    if any(a > b for a, b in zip(vals, vals[1:])):
-        return False
+def _make_record(m, engine, terms, timestamp=None, wall_time=None):
+    meta = {"version": __version__, "timestamp": timestamp, "wall_time_s": wall_time}
+    return {"m": m, "engine": engine, "terms": [str(t) for t in terms], "meta": meta}
+
+
+def _load_cached(path: Path, m: int, engine: str, N: int) -> list[int] | None:
+    """Counts 0..N from a cache file, or None unless it is a readable record
+    of this version, m and engine with at least N + 1 terms that pass cheap
+    consistency checks: decimal, starts at 1, nondecreasing, and the
+    Bell-prefix relation where it applies."""
+    try:
+        cached = json.loads(path.read_bytes())
+    except (OSError, ValueError, RecursionError):
+        return None
+    if not (
+        isinstance(cached, dict)
+        and isinstance(cached.get("meta"), dict)
+        and cached["meta"].get("version") == __version__
+        and cached.get("m") == m
+        and cached.get("engine") == engine
+        and isinstance(cached.get("terms"), list)
+        and len(cached["terms"]) >= N + 1
+        and all(isinstance(t, str) and t.isascii() and t.isdigit() for t in cached["terms"])
+    ):
+        return None
+    vals = [int(t) for t in cached["terms"]]
+    if vals[0] != 1 or any(a > b for a, b in zip(vals, vals[1:])):
+        return None
     bells = core.bell_numbers(len(vals) - 1)
     for n, v in enumerate(vals):
-        if n < 2 * (m + 1) and v != bells[n]:
-            return False
-        if v > bells[n]:
-            return False
-    return True
+        if v > bells[n] or (n < 2 * (m + 1) and v != bells[n]):
+            return None
+    return vals[: N + 1]
+
+
+def _store_cached(path: Path, record: dict) -> None:
+    """Atomic write (a pid-suffixed sibling, then os.replace): no torn file."""
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+        os.replace(tmp, path)
+    except OSError as exc:
+        tmp.unlink(missing_ok=True)
+        raise ValueError(f"cannot write cache file {path}: {exc.strerror}") from None
 
 
 def cmd_sequence(args) -> int:
     m, N, engine = args.max_nesting, args.terms, args.engine
     cache_path = None
-    record = None
     if args.cache_dir:
         cache_path = Path(args.cache_dir) / f"m{m}_{engine}.json"
-        if cache_path.exists():
-            try:
-                cached = json.loads(cache_path.read_text())
-            except json.JSONDecodeError:
-                cached = None
-            if (
-                cached
-                and cached.get("m") == m
-                and cached.get("engine") == engine
-                and len(cached.get("terms", [])) >= N + 1
-                and _revalidate_cached(m, cached["terms"])
-            ):
-                record = _make_record(m, engine, cached["terms"][: N + 1])
-    if record is None:
-        start = time.monotonic()
-        terms = _compute_terms(m, N, engine)
-        wall = time.monotonic() - start
-        record = _make_record(m, engine, terms)
-        if cache_path is not None:
+        try:
             cache_path.parent.mkdir(parents=True, exist_ok=True)
-            stored = _make_record(
-                m,
-                engine,
-                terms,
-                timestamp=datetime.now(timezone.utc).isoformat(),
-                wall_time=round(wall, 6),
-            )
-            cache_path.write_text(json.dumps(stored, indent=2, sort_keys=True) + "\n")
+        except OSError as exc:
+            raise ValueError(f"cannot use --cache-dir {args.cache_dir}: {exc.strerror}") from None
+    terms = _load_cached(cache_path, m, engine, N) if cache_path else None
+    if terms is None:
+        start = time.monotonic()
+        terms = engines()[engine](m, N)
+        wall = round(time.monotonic() - start, 6)
+        if cache_path is not None:
+            stamp = datetime.now(timezone.utc).isoformat()
+            _store_cached(cache_path, _make_record(m, engine, terms, stamp, wall))
+    record = _make_record(m, engine, terms)
     if args.format == "csv":
         sys.stdout.write("n,count\n")
         for n, t in enumerate(record["terms"]):
@@ -165,9 +145,12 @@ def cmd_stats(args) -> int:
 # verify suites: each returns a list of (check-name, ok, detail) triples
 
 def _suite_table1(m, N):
-    N = min(N if N is not None else 15, 15)
+    top = len(TABLE1[1])
+    N = top if N is None else N
     if m is not None and m not in TABLE1:
         raise ValueError(f"table1 covers m = {min(TABLE1)}..{max(TABLE1)}, not m = {m}")
+    if not 1 <= N <= top:
+        raise ValueError(f"table1 covers n = 1..{top}, not n = {N}")
     ms = tuple(TABLE1) if m is None else (m,)
     out = []
     for mm in ms:
@@ -186,9 +169,11 @@ def _suite_table1(m, N):
 def _suite_cross_engine(m, N):
     m = 2 if m is None else m
     N = N if N is not None else 10
-    ref = gtree.sequence(m, N)
+    fns = engines()
+    ref = fns.pop("gtree")(m, N)
+    del fns["oracle"]  # exhaustive: the oracle suite checks it at oracle scale
     out = []
-    for name, fn in (("useries", series.u_engine), ("xseries", series.x_engine)):
+    for name, fn in fns.items():
         got = fn(m, N)
         ok = got == ref
         detail = f"m={m}, N={N} vs gtree"
@@ -201,17 +186,18 @@ def _suite_cross_engine(m, N):
 
 def _suite_oracle(m, N):
     m = 2 if m is None else m
-    N = min(N if N is not None else 9, core.ORACLE_LIMIT)
-    want = [core.count_nonnesting(n, m) for n in range(N + 1)]
-    out = []
-    for name in ("gtree", "useries", "xseries"):
-        got = _compute_terms(m, N, name)
-        ok = got == want
-        out.append((f"oracle vs {name}", ok, f"m={m}, n<=%d" % N))
-    return out
+    N = N if N is not None else 9
+    want = core.nonnesting_sequence(m, N)
+    return [
+        (f"oracle vs {name}", fn(m, N) == want, f"m={m}, n<=%d" % N)
+        for name, fn in engines().items()
+        if name != "oracle"
+    ]
 
 
 def _suite_catalan(m, N):
+    if m not in (None, 1):
+        raise ValueError(f"catalan is the m = 1 suite, not m = {m}")
     N = N if N is not None else 30
     rec = formulas.catalan_recurrence(N)
     closed = [formulas.catalan(n) for n in range(N + 1)]
@@ -225,7 +211,8 @@ def _suite_catalan(m, N):
 
 def _suite_labels(m, N):
     m = 2 if m is None else m
-    N = min(N if N is not None else 8, core.ORACLE_LIMIT)
+    N = N if N is not None else 8
+    core.check_oracle_scale(N)
     out = []
     for n, ms in enumerate(gtree.levels(m, N)):
         want = core.label_distribution(n, m)
@@ -236,13 +223,11 @@ def _suite_labels(m, N):
 
 def _suite_equidistribution(m, N):
     m = 4 if m is None else m
-    N = min(N if N is not None else 10, core.ORACLE_LIMIT)
+    N = N if N is not None else 10
     out = []
     for mm in range(1, m + 1):
-        ok = all(
-            core.count_nonnesting(n, mm) == core.count_noncrossing(n, mm)
-            for n in range(N + 1)
-        )
+        nonnesting = core.nonnesting_sequence(mm, N)
+        ok = nonnesting == [core.count_noncrossing(n, mm) for n in range(N + 1)]
         out.append((f"equidistribution m={mm}", ok, f"n<=%d" % N))
     return out
 
@@ -264,7 +249,11 @@ def _suite_bell_prefix(m, N):
 
 
 def _suite_m2_formula(m, N):
+    if m not in (None, 2):
+        raise ValueError(f"m2-formula is the m = 2 suite, not m = {m}")
     N = N if N is not None else 10
+    if N > len(TABLE1[2]):
+        raise ValueError(f"m2-formula's reference row covers n <= {len(TABLE1[2])}, not n = {N}")
     table = formulas.CoefficientTable.from_gtree(2, max(N, 12))
     first_ok = all(
         formulas.m2_first_term(n) == formulas.ct_reference("first", n)
@@ -288,7 +277,7 @@ def _suite_m2_formula(m, N):
     return out
 
 
-_SUITE_FNS = {
+SUITES = {
     "table1": _suite_table1,
     "cross-engine": _suite_cross_engine,
     "oracle": _suite_oracle,
@@ -301,9 +290,7 @@ _SUITE_FNS = {
 
 
 def cmd_verify(args) -> int:
-    if args.max_nesting is not None and args.max_nesting < 1:
-        raise ValueError("m must be >= 1")
-    checks = _SUITE_FNS[args.suite](args.max_nesting, args.terms)
+    checks = SUITES[args.suite](args.max_nesting, args.terms)
     failed = 0
     for name, ok, detail in checks:
         status = "PASS" if ok else "FAIL"
@@ -337,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="largest size N; output rows run n=0..N (n=0 has count 1)",
     )
-    p_seq.add_argument("--engine", choices=ENGINES, default="gtree")
+    p_seq.add_argument("--engine", choices=engines(), default="gtree")
     p_seq.add_argument("--format", choices=("json", "csv"), default="csv")
     p_seq.add_argument("--cache-dir", default=None, help="cache file m{M}_{engine}.json")
     p_seq.set_defaults(fn=cmd_sequence)
@@ -362,9 +349,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    m = getattr(args, "max_nesting", None)
+    n = getattr(args, "terms", getattr(args, "size", None))
     try:
+        if m is not None and m < 1:
+            raise ValueError(f"m must be >= 1, not {m}")
+        if n is not None and n < 0:
+            raise ValueError(f"n must be >= 0, not {n}")
         return args.fn(args)
     except SeriesConsistencyError as exc:
         print(f"internal consistency error: {exc}", file=sys.stderr)

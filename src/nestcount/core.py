@@ -216,7 +216,8 @@ def enumerate_partitions(n: int):
     yield from rec([], 0)
 
 
-def _check_oracle_scale(n, limit):
+def check_oracle_scale(n, limit=ORACLE_LIMIT):
+    """Refuse exhaustive enumeration of partitions of [n] past limit."""
     if n > limit:
         raise ValueError(
             f"refusing exhaustive enumeration at n={n}: Bell-number growth "
@@ -244,20 +245,27 @@ def count_nonnesting(n: int, m: int, limit: int = ORACLE_LIMIT) -> int:
     """Number of partitions of [n] with maximal nesting number <= m,
     i.e. (m+1)-nonnesting partitions, by exhaustive enumeration.
     """
-    _check_oracle_scale(n, limit)
+    check_oracle_scale(n, limit)
     return sum(c for k, c in _nesting_profile(n).items() if k <= m)
+
+
+def nonnesting_sequence(m: int, N: int) -> list[int]:
+    """count_nonnesting for sizes 0..N, refusing N past the oracle ceiling
+    before any partition is enumerated."""
+    check_oracle_scale(N)
+    return [count_nonnesting(n, m) for n in range(N + 1)]
 
 
 def count_noncrossing(n: int, m: int, limit: int = ORACLE_LIMIT) -> int:
     """Same as count_nonnesting with crossings; exists to test
     the nesting/crossing equidistribution."""
-    _check_oracle_scale(n, limit)
+    check_oracle_scale(n, limit)
     return sum(c for k, c in _crossing_profile(n).items() if k <= m)
 
 
 def label_distribution(n: int, m: int, limit: int = ORACLE_LIMIT) -> dict:
     """Map label -> number of partitions of [n] with nesting <= m carrying it."""
-    _check_oracle_scale(n, limit)
+    check_oracle_scale(n, limit)
     counts = Counter()
     for p in enumerate_partitions(n):
         if max_nesting(standard_representation(p)) <= m:
@@ -267,7 +275,7 @@ def label_distribution(n: int, m: int, limit: int = ORACLE_LIMIT) -> dict:
 
 def joint_nesting_crossing(n: int, limit: int = ORACLE_LIMIT) -> dict:
     """Map (max_nesting, max_crossing) -> count over all partitions of [n]."""
-    _check_oracle_scale(n, limit)
+    check_oracle_scale(n, limit)
     counts = Counter()
     for p in enumerate_partitions(n):
         d = standard_representation(p)

@@ -32,12 +32,6 @@ def poly_sub(p, q):
     return out
 
 
-def poly_scale(p, c):
-    if not c:
-        return {}
-    return {e: c * v for e, v in p.items()}
-
-
 def poly_mul(p, q, max_total_deg=None):
     """Product of two sparse polynomials.
 

@@ -1,7 +1,9 @@
 import json
+import os
 
 import pytest
 
+from nestcount import __version__, series
 from nestcount.cli import main
 
 
@@ -80,6 +82,75 @@ class TestCache:
         assert out == "n,count\n0,1\n1,1\n2,2\n3,5\n4,15\n"
         # bad file replaced by a valid record
         assert json.loads(path.read_text())["terms"][:3] == ["1", "1", "2"]
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"[1, 2]",
+            b'{"m": 2, "engine": "gtree", "terms": ["1", "\xe9"]}',
+            json.dumps({"m": 2, "engine": "gtree", "meta": {"version": __version__},
+                        "terms": ["1", "1", "2", "5", "15", "²"]}).encode(),
+            b"[" * 100000,
+        ],
+        ids=["json-list", "non-utf8", "non-ascii-digit", "deeply-nested"],
+    )
+    def test_unreadable_cache_recomputed(self, capsys, tmp_path, content):
+        path = tmp_path / "m2_gtree.json"
+        path.write_bytes(content)
+        code, out = run_cli(capsys, "sequence", "-m", "2", "--terms", "4",
+                            "--cache-dir", str(tmp_path))
+        assert code == 0
+        assert out == "n,count\n0,1\n1,1\n2,2\n3,5\n4,15\n"
+        assert json.loads(path.read_text())["meta"]["version"] == __version__
+
+    def test_other_version_record_rejected(self, capsys, tmp_path):
+        # a plausible record (Bell prefix, nondecreasing) with a wrong count at n=6
+        terms = ["1", "1", "2", "5", "15", "52", "203"]
+        record = {"m": 2, "engine": "gtree", "terms": terms,
+                  "meta": {"version": "0.0.0", "timestamp": None, "wall_time_s": None}}
+        (tmp_path / "m2_gtree.json").write_text(json.dumps(record))
+        code, out = run_cli(capsys, "sequence", "-m", "2", "--terms", "6",
+                            "--cache-dir", str(tmp_path))
+        assert code == 0
+        assert out.splitlines()[-1] == "6,202"
+
+    def test_cache_dir_is_a_file(self, capsys, tmp_path):
+        target = tmp_path / "not-a-dir"
+        target.write_text("")
+        code = main(["sequence", "-m", "2", "-n", "4", "--cache-dir", str(target)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_failed_write_keeps_old_record(self, capsys, tmp_path, monkeypatch):
+        run_cli(capsys, "sequence", "-m", "2", "--terms", "4", "--cache-dir", str(tmp_path))
+        path = tmp_path / "m2_gtree.json"
+        before = path.read_bytes()
+
+        def fail(src, dst):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, "replace", fail)
+        code = main(["sequence", "-m", "2", "-n", "8", "--cache-dir", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.err.count("\n") == 1
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m2_gtree.json"]
+
+
+class TestEngineRegistry:
+    def test_engines_resolved_at_call_time(self, capsys, monkeypatch):
+        # perfbench's tracer rebinds engines after nestcount.cli is imported
+        calls = []
+
+        def fake(m, N):
+            calls.append((m, N))
+            return [1] * (N + 1)
+
+        monkeypatch.setattr(series, "x_engine", fake)
+        code, out = run_cli(capsys, "sequence", "-m", "2", "-n", "3", "--engine", "xseries")
+        assert code == 0 and calls == [(2, 3)]
+        assert out == "n,count\n0,1\n1,1\n2,1\n3,1\n"
 
 
 class TestVerify:
@@ -187,6 +258,19 @@ class TestUsageErrors:
             ["verify", "--suite", "cross-engine", "-m", "0"],
             ["verify", "--suite", "bell-prefix", "-m", "0"],
             ["verify", "--suite", "equidistribution", "-m", "-1"],
+            ["sequence", "-m", "0", "-n", "3", "--engine", "oracle"],
+            ["sequence", "-m", "-1", "-n", "3", "--engine", "oracle"],
+            ["verify", "--suite", "catalan", "-n", "-1"],
+            ["verify", "--suite", "equidistribution", "-n", "-1"],
+            ["verify", "--suite", "m2-formula", "-n", "-1"],
+            ["verify", "--suite", "table1", "-n", "20"],
+            ["verify", "--suite", "table1", "-n", "0"],
+            ["verify", "--suite", "m2-formula", "-n", "16"],
+            ["verify", "--suite", "catalan", "-m", "3"],
+            ["verify", "--suite", "m2-formula", "-m", "3"],
+            ["verify", "--suite", "oracle", "-n", "20"],
+            ["verify", "--suite", "equidistribution", "-n", "20"],
+            ["verify", "--suite", "labels", "-n", "14"],
         ],
     )
     def test_exit_2_with_one_line(self, capsys, argv):

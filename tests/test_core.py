@@ -201,6 +201,13 @@ class TestCounts:
         with pytest.raises(ValueError, match="refusing"):
             count_noncrossing(20, 1)
 
+    def test_nonnesting_sequence(self, monkeypatch):
+        assert core.nonnesting_sequence(1, 5) == [1, 1, 2, 5, 14, 42]
+        # the scale guard runs on N before any partition is enumerated
+        monkeypatch.setattr(core, "enumerate_partitions", None)
+        with pytest.raises(ValueError, match="refusing"):
+            core.nonnesting_sequence(2, 14)
+
     def test_bell_for_small_n(self):
         # an (m+1)-nesting needs 2(m+1) vertices
         for m in (1, 2, 3):
