@@ -149,7 +149,7 @@ def _suite_table1(m, N):
     N = top if N is None else N
     if m is not None and m not in TABLE1:
         raise ValueError(f"table1 covers m = {min(TABLE1)}..{max(TABLE1)}, not m = {m}")
-    if not 1 <= N <= top:
+    if N > top:
         raise ValueError(f"table1 covers n = 1..{top}, not n = {N}")
     ms = tuple(TABLE1) if m is None else (m,)
     out = []
@@ -352,11 +352,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     m = getattr(args, "max_nesting", None)
     n = getattr(args, "terms", getattr(args, "size", None))
+    n_min = 1 if args.command == "verify" else 0  # a suite at n = 0 checks nothing
     try:
         if m is not None and m < 1:
             raise ValueError(f"m must be >= 1, not {m}")
-        if n is not None and n < 0:
-            raise ValueError(f"n must be >= 0, not {n}")
+        if n is not None and n < n_min:
+            raise ValueError(f"n must be >= {n_min}, not {n}")
         return args.fn(args)
     except SeriesConsistencyError as exc:
         print(f"internal consistency error: {exc}", file=sys.stderr)

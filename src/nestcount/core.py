@@ -221,8 +221,7 @@ def check_oracle_scale(n, limit=ORACLE_LIMIT):
     if n > limit:
         raise ValueError(
             f"refusing exhaustive enumeration at n={n}: Bell-number growth "
-            f"makes this impractical beyond n={limit} "
-            "(raise the limit explicitly if you really mean it)"
+            f"makes this impractical beyond n={limit}"
         )
 
 
@@ -243,7 +242,8 @@ def _crossing_profile(n):
 
 def count_nonnesting(n: int, m: int, limit: int = ORACLE_LIMIT) -> int:
     """Number of partitions of [n] with maximal nesting number <= m,
-    i.e. (m+1)-nonnesting partitions, by exhaustive enumeration.
+    i.e. (m+1)-nonnesting partitions, by exhaustive enumeration. Refuses
+    n > limit; pass a larger limit to raise that ceiling.
     """
     check_oracle_scale(n, limit)
     return sum(c for k, c in _nesting_profile(n).items() if k <= m)
@@ -258,13 +258,15 @@ def nonnesting_sequence(m: int, N: int) -> list[int]:
 
 def count_noncrossing(n: int, m: int, limit: int = ORACLE_LIMIT) -> int:
     """Same as count_nonnesting with crossings; exists to test
-    the nesting/crossing equidistribution."""
+    the nesting/crossing equidistribution. Refuses n > limit; pass a larger
+    limit to raise that ceiling."""
     check_oracle_scale(n, limit)
     return sum(c for k, c in _crossing_profile(n).items() if k <= m)
 
 
 def label_distribution(n: int, m: int, limit: int = ORACLE_LIMIT) -> dict:
-    """Map label -> number of partitions of [n] with nesting <= m carrying it."""
+    """Map label -> number of partitions of [n] with nesting <= m carrying it.
+    Refuses n > limit; pass a larger limit to raise that ceiling."""
     check_oracle_scale(n, limit)
     counts = Counter()
     for p in enumerate_partitions(n):

@@ -22,7 +22,6 @@ def label_children(lab: tuple[int, ...]) -> list[tuple[int, ...]]:
     [a_0, a_1-1], [a_1, a_2-1], .., [a_{m-1}, a_m-1] tile 1..a_m-1, so j
     is well defined.
     """
-    m = len(lab)
     out = [tuple(a + 1 for a in lab)]
     j = 1
     for l in range(1, lab[-1]):
@@ -52,10 +51,30 @@ def root(m: int) -> LabelMultiset:
 
 
 def next_level(ms: LabelMultiset) -> LabelMultiset:
-    counts: dict = {}
-    for lab, c in ms.counts.items():
-        for child in label_children(lab):
-            counts[child] = counts.get(child, 0) + c
+    """The next level: every label's count pushed through label_children.
+
+    No child list is built. Besides its singleton, a label with count c has,
+    for each coordinate j = 1..m (a_0 := 1), the children
+    (a_1+1,..,a_{j-1}+1, v, a_{j+1},..,a_m) for v = a_{j-1}+1..a_j. Parents
+    that agree off coordinate j share those children, so the child at v gets
+    the sum of c over the group's parents with a_j >= v: a suffix sum, taken
+    one coordinate at a time so that only one coordinate's groups are alive.
+    The loop below counts j from 0.
+    """
+    counts = {tuple(a + 1 for a in lab): c for lab, c in ms.counts.items()}
+    for j in range(ms.m):
+        groups: dict = {}
+        for lab, c in ms.counts.items():
+            groups.setdefault(lab[:j] + lab[j + 1 :], {})[lab[j]] = c
+        for rest, g in groups.items():
+            start = rest[j - 1] + 1 if j else 2
+            head = tuple(a + 1 for a in rest[:j])
+            tail = rest[j:]
+            s = 0
+            for v in range(max(g), start - 1, -1):
+                s += g.get(v, 0)
+                child = head + (v,) + tail
+                counts[child] = counts.get(child, 0) + s
     return LabelMultiset(ms.m, ms.level + 1, counts)
 
 

@@ -245,6 +245,12 @@ class TestStats:
         _, out = run_cli(capsys, "stats", "-n", "0")
         assert out == "nesting,crossing,count\n0,0,1\n"
 
+    def test_oracle_refusal_names_ceiling_only(self, capsys):
+        code = main(["stats", "-n", "14"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "beyond n=13" in err and "raise the limit" not in err
+
 
 class TestUsageErrors:
     @pytest.mark.parametrize(
@@ -271,6 +277,13 @@ class TestUsageErrors:
             ["verify", "--suite", "oracle", "-n", "20"],
             ["verify", "--suite", "equidistribution", "-n", "20"],
             ["verify", "--suite", "labels", "-n", "14"],
+            ["verify", "--suite", "cross-engine", "-n", "0"],
+            ["verify", "--suite", "oracle", "-n", "0"],
+            ["verify", "--suite", "catalan", "-n", "0"],
+            ["verify", "--suite", "labels", "-n", "0"],
+            ["verify", "--suite", "equidistribution", "-n", "0"],
+            ["verify", "--suite", "bell-prefix", "-n", "0"],
+            ["verify", "--suite", "m2-formula", "-n", "0"],
         ],
     )
     def test_exit_2_with_one_line(self, capsys, argv):

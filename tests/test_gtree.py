@@ -1,6 +1,6 @@
 import pytest
 
-from nestcount import core, gtree
+from nestcount import core, gtree, series
 from nestcount.table1 import TABLE1
 
 
@@ -81,6 +81,15 @@ class TestLevels:
         with pytest.raises(ValueError):
             list(gtree.levels(2, -1))
 
+    def test_next_level_pushes_counts_through_label_children(self):
+        for m in range(1, 6):
+            for ms in gtree.levels(m, 9):
+                want = {}
+                for lab, c in ms.counts.items():
+                    for child in gtree.label_children(lab):
+                        want[child] = want.get(child, 0) + c
+                assert gtree.next_level(ms).counts == want
+
     def test_matches_enumeration_key_for_key(self):
         for m in (1, 2, 3):
             for n, ms in enumerate(gtree.levels(m, 8)):
@@ -97,6 +106,10 @@ class TestSequence:
 
     def test_m1_is_catalan(self):
         assert gtree.sequence(1, 15)[1:] == list(TABLE1[1])
+
+    def test_deep_levels_match_u_engine(self):
+        assert gtree.sequence(2, 60) == series.u_engine(2, 60)
+        assert gtree.sequence(3, 30) == series.u_engine(3, 30)
 
     def test_deterministic(self):
         assert gtree.sequence(4, 12) == gtree.sequence(4, 12)
