@@ -4,8 +4,9 @@ Both engines compute the counting sequence of (m+1)-nonnesting partitions
 with exact integer coefficients.
 
 * The u-engine iterates the label generating function order by order in t:
-  each step combines the previous t-coefficient (a polynomial in u_1..u_m)
-  through two families of divided differences, which must divide exactly.
+  P_{n+1} is P_n (a polynomial in u_1..u_m) times u_1..u_m plus, for each
+  u_j, the exact quotient of P_n - P_n|merge by u_j - 1 times u_1..u_j,
+  built in one pass over P_n and added straight into P_{n+1}.
 
 * The x-engine solves the rearranged kernel-form equation
       F = s + s*t*h*F
@@ -49,95 +50,94 @@ class SeriesConsistencyError(RuntimeError):
 # ---------------------------------------------------------------------------
 # u-engine
 
-def _collapse_u1(p):
-    """p with u_1 = 1, then times u_1 (exponent set to 1)."""
-    out = {}
-    for e, c in p.items():
-        key = (1,) + e[1:]
-        s = out.get(key, 0) + c
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
-    return out
-
-
 def _merge_pair(p, j):
-    """p with u_{j-1} <- u_{j-1} u_j and u_j <- 1 (1-based j >= 2)."""
-    out = {}
-    for e, c in p.items():
-        key = e[: j - 1] + (e[j - 2],) + e[j:]
-        s = out.get(key, 0) + c
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
-    return out
-
-
-def _divide_by_var_minus_one(p, var):
-    """Exact division by (u_var - 1), var 0-based.
-
-    Synthetic division per residual monomial: q_k = sum_{i>k} c_i, with
-    remainder sum_i c_i, which must vanish (the functional equation
-    guarantees divisibility; a nonzero remainder is a bug).
-    """
+    """p - p|merge for 1-based j, grouped as {rest: {exponent of u_j: coeff}},
+    rest being the exponent tuple without u_j's. The merge sets u_j's
+    exponent to u_{j-1}'s, or to 1 for j = 1."""
+    var = j - 1
     groups = {}
     for e, c in p.items():
-        rest = e[:var] + e[var + 1 :]
-        groups.setdefault(rest, {})[e[var]] = c
-    out = {}
+        a = e[var - 1] if var else 1
+        b = e[var]
+        if a == b:
+            continue
+        rest = e[:var] + e[j:]
+        g = groups.get(rest)
+        if g is None:
+            groups[rest] = {b: c, a: -c}
+        else:
+            g[b] = g.get(b, 0) + c
+            g[a] = g.get(a, 0) - c
+    return groups
+
+
+def _divide_by_var_minus_one(groups, var, out):
+    """Add the exact quotient by (u_var - 1), times u_1 .. u_{var+1}, into out
+    (var 0-based; groups as `_merge_pair` returns them).
+
+    Synthetic division per group: q_k = sum_{i>k} c_i, with remainder
+    sum_i c_i, which must vanish (the functional equation guarantees
+    divisibility; a nonzero remainder is a bug).
+    """
     for rest, coeffs in groups.items():
-        if sum(coeffs.values()) != 0:
+        remainder = sum(coeffs.values())
+        if remainder:
+            monomials = [rest[:var] + (k,) + rest[var:] for k in sorted(coeffs)]
             raise SeriesConsistencyError(
-                "nonzero remainder in divided difference"
+                f"nonzero remainder {remainder} dividing by u_{var + 1} - 1, "
+                f"in the group of exponents {monomials}"
             )
+        head = tuple(x + 1 for x in rest[:var])
+        tail = rest[var:]
         running = 0
-        top = max(coeffs)
-        for k in range(top - 1, min(coeffs) - 1, -1):
-            running += coeffs.get(k + 1, 0)
+        for k in range(max(coeffs), min(coeffs), -1):
+            running += coeffs.get(k, 0)
             if running:
-                out[rest[:var] + (k,) + rest[var:]] = running
-    return out
+                key = head + (k,) + tail
+                s = out.get(key, 0) + running
+                if s:
+                    out[key] = s
+                else:
+                    del out[key]
 
 
-def _shift(p, upto):
-    """Multiply by u_1 u_2 .. u_upto (add 1 to the first `upto` exponents)."""
-    return {
-        tuple(x + 1 if i < upto else x for i, x in enumerate(e)): c
-        for e, c in p.items()
-    }
+def _shift(p):
+    """Multiply by u_1 u_2 .. u_m (add 1 to every exponent)."""
+    return {tuple(x + 1 for x in e): c for e, c in p.items()}
 
 
 def _u_step(p, m):
-    new = _shift(p, m)
-    # divided difference in u_1, times u_1
-    diff = poly_sub(p, _collapse_u1(p))
-    new = poly_add(new, _shift(_divide_by_var_minus_one(diff, 0), 1))
-    for j in range(2, m + 1):
-        diff = poly_sub(p, _merge_pair(p, j))
-        new = poly_add(new, _shift(_divide_by_var_minus_one(diff, j - 1), j))
+    new = _shift(p)
+    for j in range(1, m + 1):
+        _divide_by_var_minus_one(_merge_pair(p, j), j - 1, new)
     return new
 
 
-def u_series(m: int, N: int) -> list[dict]:
-    """t-coefficients P_0..P_N of the label generating function; P_n maps
-    exponent tuples (the labels) to counts."""
+def _u_orders(m, N):
+    """Yield P_0..P_N, keeping only the order being built from."""
     if m < 1:
         raise ValueError("m must be >= 1")
     if N < 0:
         raise ValueError("N must be >= 0")
     p = {(1,) * m: 1}
-    out = [p]
-    for _ in range(N):
-        p = _u_step(p, m)
-        out.append(p)
-    return out
+    yield p
+    for n in range(1, N + 1):
+        try:
+            p = _u_step(p, m)
+        except SeriesConsistencyError as exc:
+            raise SeriesConsistencyError(f"u-engine, m={m}, t-order {n}: {exc}") from exc
+        yield p
+
+
+def u_series(m: int, N: int) -> list[dict]:
+    """t-coefficients P_0..P_N of the label generating function; P_n maps
+    exponent tuples (the labels) to counts."""
+    return list(_u_orders(m, N))
 
 
 def u_engine(m: int, N: int) -> list[int]:
     """Counting sequence via the u-equation: P_n at u_1=..=u_m=1."""
-    return [sum(p.values()) for p in u_series(m, N)]
+    return [sum(p.values()) for p in _u_orders(m, N)]
 
 
 # ---------------------------------------------------------------------------

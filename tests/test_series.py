@@ -44,6 +44,53 @@ def x_series_by_passes(m, N, W):
     return F
 
 
+def u_series_by_chain(m, N):
+    """Reference: the unfused u-step, in which each divided difference is
+    built as p - p|merge with poly_sub, divided one polynomial at a time,
+    shifted, and added with poly_add."""
+
+    def merged(p, j):
+        # u_j's exponent set to u_{j-1}'s, or to 1 for j = 1
+        out = {}
+        for e, c in p.items():
+            key = e[: j - 1] + ((e[j - 2],) if j > 1 else (1,)) + e[j:]
+            s = out.get(key, 0) + c
+            if s:
+                out[key] = s
+            else:
+                out.pop(key, None)
+        return out
+
+    def divide(p, var):
+        groups = {}
+        for e, c in p.items():
+            groups.setdefault(e[:var] + e[var + 1 :], {})[e[var]] = c
+        out = {}
+        for rest, coeffs in groups.items():
+            assert sum(coeffs.values()) == 0
+            running = 0
+            for k in range(max(coeffs) - 1, min(coeffs) - 1, -1):
+                running += coeffs.get(k + 1, 0)
+                if running:
+                    out[rest[:var] + (k,) + rest[var:]] = running
+        return out
+
+    def shift(p, upto):
+        return {
+            tuple(x + 1 if i < upto else x for i, x in enumerate(e)): c
+            for e, c in p.items()
+        }
+
+    P = [{(1,) * m: 1}]
+    for _ in range(N):
+        p = P[-1]
+        new = shift(p, m)
+        for j in range(1, m + 1):
+            new = poly_add(new, shift(divide(poly_sub(p, merged(p, j)), j - 1), j))
+        P.append(new)
+    return P
+
+
 class TestUEngine:
     def test_m2_t3_coefficient(self):
         p3 = u_series(2, 3)[3]
@@ -70,11 +117,72 @@ class TestUEngine:
         with pytest.raises(ValueError):
             u_series(2, -1)
 
-    def test_division_rejects_nonzero_remainder(self):
-        from nestcount.series import _divide_by_var_minus_one
+    @pytest.mark.parametrize("m,N", [(1, 12), (2, 12), (3, 12), (4, 12), (5, 12), (6, 9)])
+    def test_fused_step_equals_unfused_chain(self, m, N):
+        assert u_series(m, N) == u_series_by_chain(m, N)
 
+    def test_division_adds_shifted_quotient(self):
+        # (u_1^3 - u_1) / (u_1 - 1) * u_1 = u_1^3 + u_1^2, at u_2's exponent 2;
+        # the u_1^3 term cancels what out already holds there
+        out = {(3, 2): -1, (1, 1): 5}
+        series._divide_by_var_minus_one({(2,): {3: 1, 1: -1}}, 0, out)
+        assert out == {(2, 2): 1, (1, 1): 5}
+
+    def test_division_rejects_nonzero_remainder(self):
         with pytest.raises(SeriesConsistencyError):
-            _divide_by_var_minus_one({(1, 0): 1, (0, 0): 1}, 0)
+            series._divide_by_var_minus_one({(0,): {1: 1, 0: 1}}, 0, {})
+
+    def test_dropped_merge_term_is_caught(self, monkeypatch):
+        merge = series._merge_pair
+
+        def drop_one_minus_c(p, j):
+            groups = merge(p, j)
+            for e, c in p.items():
+                a = e[j - 2] if j > 1 else 1
+                if a != e[j - 1]:
+                    g = groups[e[: j - 1] + e[j:]]
+                    g[a] += c
+                    break
+            return groups
+
+        monkeypatch.setattr(series, "_merge_pair", drop_one_minus_c)
+        with pytest.raises(SeriesConsistencyError):
+            u_series(2, 3)
+
+    def test_consistency_error_names_engine_order_and_group(self, monkeypatch):
+        P2 = u_series(2, 2)[2]
+        merge = series._merge_pair
+
+        def corrupt_order_3_in_u2(p, j):
+            groups = merge(p, j)
+            if j == 2 and p == P2:
+                groups[(7,)] = {4: 1, 9: 1}
+            return groups
+
+        monkeypatch.setattr(series, "_merge_pair", corrupt_order_3_in_u2)
+        with pytest.raises(SeriesConsistencyError) as info:
+            u_series(2, 3)
+        msg = str(info.value)
+        for field in ("u-engine", "m=2", "t-order 3", "u_2 - 1", "[(7, 4), (7, 9)]"):
+            assert field in msg
+
+    def test_step_calls_each_layer_hook(self, monkeypatch):
+        calls = {"_shift": 0, "_merge_pair": 0, "_divide_by_var_minus_one": 0}
+
+        def counted(name):
+            fn = getattr(series, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        P = u_series(3, 4)
+        for name in calls:
+            monkeypatch.setattr(series, name, counted(name))
+        assert series._u_step(P[3], 3) == P[4]
+        assert calls == {"_shift": 1, "_merge_pair": 3, "_divide_by_var_minus_one": 3}
 
 
 class TestXEngine:
