@@ -1,15 +1,19 @@
 """Generating-tree counting: evolve multisets of labels level by level.
 
-A level-n state maps each label (a_1,..,a_m) to the number of partitions of
-[n] with nesting number <= m carrying that label. One step applies the
-children rule to every key; no partition is ever materialized, so this
-counts far beyond oracle scale. Counts are Python ints (arbitrary
-precision) throughout.
+A level-n state gives each label (a_1,..,a_m) the number of partitions of
+[n] with nesting number <= m carrying that label, one row of counts per
+prefix (a_1,..,a_{m-1}). One step applies the children rule to every label,
+a whole row at a time; no partition is ever materialized, so this counts
+far beyond oracle scale. Counts are Python ints (arbitrary precision)
+throughout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
+from operator import add
 
 
 def label_children(lab: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -33,21 +37,42 @@ def label_children(lab: tuple[int, ...]) -> list[tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class LabelMultiset:
-    """One generating-tree level: label -> count of partitions of [level]."""
+    """One generating-tree level, held as rows: rows[(a_1,..,a_{m-1})][i] is
+    the number of partitions of [level] labelled (a_1,..,a_{m-1}, b + i),
+    where b = a_{m-1} (a_0 := 1, so b = 1 when m = 1). Since a_m >= a_{m-1},
+    a row starts at the smallest a_m its prefix allows. A row may hold zeros.
+    """
 
     m: int
     level: int
-    counts: dict
+    rows: dict
+
+    @cached_property
+    def counts(self) -> dict:
+        """The level as label -> count, for the labels with a nonzero count."""
+        out = {}
+        for prefix, row in self.rows.items():
+            for a, c in enumerate(row, prefix[-1] if prefix else 1):
+                if c:
+                    out[(*prefix, a)] = c
+        return out
 
     def total(self) -> int:
-        return sum(self.counts.values())
+        return sum(map(sum, self.rows.values()))
 
 
 def root(m: int) -> LabelMultiset:
     """Level 0: the empty partition, label (1,..,1)."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    return LabelMultiset(m, 0, {(1,) * m: 1})
+    return LabelMultiset(m, 0, {(1,) * (m - 1): [1]})
+
+
+def _add(a: list, b: list) -> list:
+    """A new row: a + b entrywise, as long as the longer of the two."""
+    if len(a) < len(b):
+        a, b = b, a
+    return [*map(add, a, b), *a[len(b) :]]
 
 
 def next_level(ms: LabelMultiset) -> LabelMultiset:
@@ -55,27 +80,43 @@ def next_level(ms: LabelMultiset) -> LabelMultiset:
 
     No child list is built. Besides its singleton, a label with count c has,
     for each coordinate j = 1..m (a_0 := 1), the children
-    (a_1+1,..,a_{j-1}+1, v, a_{j+1},..,a_m) for v = a_{j-1}+1..a_j. Parents
-    that agree off coordinate j share those children, so the child at v gets
-    the sum of c over the group's parents with a_j >= v: a suffix sum, taken
-    one coordinate at a time so that only one coordinate's groups are alive.
-    The loop below counts j from 0.
+    (a_1+1,..,a_{j-1}+1, v, a_{j+1},..,a_m) for v = a_{j-1}+1..a_j, so the
+    child at v gets the sum of c over the parents that agree off a_j and
+    have a_j >= v: a suffix sum. Rows turn each sum into whole-row adds. For
+    j = m, a row's singletons and suffix sums land in the row of its prefix
+    plus one, whose index i gets the row's suffix sum from index i. For
+    j < m, rows are grouped by the prefix without a_j (one coordinate's
+    groups at a time), and a running sum of them walks v down from the
+    largest a_j; for j = m - 1 each row starts at its own a_j, so the running
+    sum moves up one index per step. The loop counts j from 0.
     """
-    counts = {tuple(a + 1 for a in lab): c for lab, c in ms.counts.items()}
-    for j in range(ms.m):
+    m = ms.m
+    rows = {
+        tuple(a + 1 for a in prefix): list(accumulate(reversed(row)))[::-1]
+        for prefix, row in ms.rows.items()
+    }
+    if m == 1:  # a_0 = 1 does not move, so the sums start at a_1 = 2
+        rows[()] = [0, *rows[()]]
+    for j in range(m - 1):
+        shift = j == m - 2
         groups: dict = {}
-        for lab, c in ms.counts.items():
-            groups.setdefault(lab[:j] + lab[j + 1 :], {})[lab[j]] = c
+        for prefix, row in ms.rows.items():
+            groups.setdefault(prefix[:j] + prefix[j + 1 :], {})[prefix[j]] = row
         for rest, g in groups.items():
             start = rest[j - 1] + 1 if j else 2
             head = tuple(a + 1 for a in rest[:j])
             tail = rest[j:]
-            s = 0
+            run: list = []
             for v in range(max(g), start - 1, -1):
-                s += g.get(v, 0)
-                child = head + (v,) + tail
-                counts[child] = counts.get(child, 0) + s
-    return LabelMultiset(ms.m, ms.level + 1, counts)
+                if shift:
+                    run = [0, *run]
+                row = g.get(v)
+                if row is not None:
+                    run = _add(run, row)
+                child = (*head, v, *tail)
+                old = rows.get(child)
+                rows[child] = run if old is None else _add(old, run)
+    return LabelMultiset(m, ms.level + 1, rows)
 
 
 def sequence(m: int, N: int) -> list[int]:

@@ -203,7 +203,7 @@ def _divide_by_var(p, var):
     out = {}
     for e, c in p.items():
         if e[var] < 0:
-            raise SeriesConsistencyError("exponent below -1 in intermediate")
+            raise SeriesConsistencyError(f"exponent below -1 dividing {e} by x_{var + 1}")
         out[e[:var] + (e[var] - 1,) + e[var + 1 :]] = c
     return out
 
@@ -229,7 +229,8 @@ def _x_step(Fk, k, m, W, kernel):
         inner = poly_add(inner, _divide_by_var(substitute_pair(Fk, j), j - 1))
     out = poly_sub(pos, poly_mul(inner, s, cap))
     if min_exponent(out) < 0:
-        raise SeriesConsistencyError(f"negative exponent survived at t-order {k + 1}")
+        bad = next(e for e in out if min(e) < 0)
+        raise SeriesConsistencyError(f"negative exponent survived in {bad}")
     return out
 
 
@@ -250,7 +251,10 @@ def x_series(m: int, N: int, weight_bound: int | None = None) -> list[dict]:
     kernel = _x_kernel(m, W)
     F = [truncate_total_degree(kernel[0], W)]
     for k in range(N):
-        F.append(_x_step(F[k], k, m, W, kernel))
+        try:
+            F.append(_x_step(F[k], k, m, W, kernel))
+        except SeriesConsistencyError as exc:
+            raise SeriesConsistencyError(f"x-engine, m={m}, t-order {k + 1}: {exc}") from exc
     return F
 
 
@@ -271,8 +275,12 @@ def x_engine(
     if check_stable:
         W = N if weight_bound is None else weight_bound
         kernel = _x_kernel(m, W)
-        if any(_x_step(F[k], k, m, W, kernel) != F[k + 1] for k in range(N)):
-            raise SeriesConsistencyError("t-coefficients not stabilized")
+        for k in range(N):
+            if _x_step(F[k], k, m, W, kernel) != F[k + 1]:
+                raise SeriesConsistencyError(
+                    f"x-engine, m={m}, t-order {k + 1}: not stabilized, "
+                    f"the step from t-order {k} gives another order"
+                )
     return counts
 
 

@@ -4,6 +4,28 @@ from nestcount import core, gtree, series
 from nestcount.table1 import TABLE1
 
 
+def next_counts_by_label(m, counts):
+    """Reference: the label-keyed next level, as next_level computed it
+    before levels were held as rows. For each coordinate j, parents that
+    agree off a_j are grouped, and a running sum walks v from the group's
+    largest a_j down to a_{j-1}+1, one child label at a time."""
+    out = {tuple(a + 1 for a in lab): c for lab, c in counts.items()}
+    for j in range(m):
+        groups = {}
+        for lab, c in counts.items():
+            groups.setdefault(lab[:j] + lab[j + 1 :], {})[lab[j]] = c
+        for rest, g in groups.items():
+            start = rest[j - 1] + 1 if j else 2
+            head = tuple(a + 1 for a in rest[:j])
+            tail = rest[j:]
+            s = 0
+            for v in range(max(g), start - 1, -1):
+                s += g.get(v, 0)
+                child = head + (v,) + tail
+                out[child] = out.get(child, 0) + s
+    return out
+
+
 class TestLabelChildren:
     def test_m3_running_example(self):
         assert gtree.label_children((3, 4, 5)) == [
@@ -60,7 +82,7 @@ class TestLevels:
         assert ms.level == 1 and ms.counts == {(2, 2, 2): 1}
 
     def test_depth_one_m1_node(self):
-        ms = gtree.LabelMultiset(1, 1, {(2,): 1})
+        ms = gtree.LabelMultiset(1, 1, {(): [0, 1]})  # label (2,), count 1
         assert gtree.next_level(ms).counts == {(3,): 1, (2,): 1}
 
     def test_level_three_m2_matches_oracle_then_total_15(self):
@@ -89,6 +111,17 @@ class TestLevels:
                     for child in gtree.label_children(lab):
                         want[child] = want.get(child, 0) + c
                 assert gtree.next_level(ms).counts == want
+
+    @pytest.mark.parametrize(
+        "m,N", [(1, 12), (2, 12), (3, 12), (4, 12), (5, 12), (6, 12), (5, 20)]
+    )
+    def test_rows_equal_label_keyed_levels(self, m, N):
+        want = gtree.root(m).counts
+        for ms in gtree.levels(m, N):
+            assert ms.counts == want
+            assert 0 not in ms.counts.values()
+            assert ms.total() == sum(want.values())
+            want = next_counts_by_label(m, want)
 
     def test_matches_enumeration_key_for_key(self):
         for m in (1, 2, 3):

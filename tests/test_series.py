@@ -208,6 +208,49 @@ class TestXEngine:
     def test_stabilization_debug_mode(self):
         assert x_engine(2, 6, check_stable=True) == [1, 1, 2, 5, 15, 52, 202]
 
+    @pytest.mark.parametrize(
+        "helper,bad",
+        [
+            # after x_2 -> 0 no x_2 exponent is -1, so dividing by x_2 gives -2
+            ("substitute_pair", {(5, -1): 1}),
+            # a term no other term of the order can cancel
+            ("_divide_by_var", {(-1, 0): 10**30}),
+        ],
+    )
+    def test_consistency_error_names_engine_m_and_order(self, monkeypatch, helper, bad):
+        calls = []
+        real = getattr(series, helper)
+
+        def corrupt_third_call(p, j):
+            calls.append(j)
+            out = real(p, j)
+            return {**out, **bad} if len(calls) == 3 else out
+
+        monkeypatch.setattr(series, helper, corrupt_third_call)
+        with pytest.raises(SeriesConsistencyError) as info:
+            x_series(2, 5)
+        msg = str(info.value)
+        for field in ("x-engine", "m=2", "t-order 3"):
+            assert field in msg
+        assert isinstance(info.value.__cause__, SeriesConsistencyError)
+
+    def test_unstable_order_is_named(self, monkeypatch):
+        calls = []
+        step = series._x_step
+
+        def corrupt_eighth_call(Fk, k, m, W, kernel):
+            # calls 1-5 build t-orders 1-5; calls 6-10 re-apply the step
+            calls.append(k)
+            out = step(Fk, k, m, W, kernel)
+            return {**out, (0, 0): out.get((0, 0), 0) + 1} if len(calls) == 8 else out
+
+        monkeypatch.setattr(series, "_x_step", corrupt_eighth_call)
+        with pytest.raises(SeriesConsistencyError) as info:
+            x_engine(2, 5, check_stable=True)
+        msg = str(info.value)
+        for field in ("x-engine", "m=2", "t-order 3"):
+            assert field in msg
+
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("N", range(9))
     @pytest.mark.parametrize("wide", [False, True])
