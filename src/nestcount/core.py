@@ -5,7 +5,9 @@ A partition of [n] = {1,..,n} is stored as a restricted-growth string (RGS):
 position i holds the 1-based index of the block containing i, blocks numbered
 by first appearance. Its standard representation is the arc diagram joining
 consecutive elements of each block in numerical order; nesting and crossing
-statistics are read off that diagram.
+statistics are read off that diagram. The oracle counts them in one walk
+over RGS prefixes that adds one arc per step; the per-diagram functions are
+the definitions that walk is tested against.
 
 Everything here is exhaustive-enumeration scale (Bell-number growth); the
 fast counting lives in `gtree` and `series`.
@@ -13,6 +15,7 @@ fast counting lives in `gtree` and `series`.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -225,19 +228,74 @@ def check_oracle_scale(n, limit=ORACLE_LIMIT):
         )
 
 
+def _nesting_crossing_walk(n):
+    """Counter of (max_nesting, max_crossing) over all partitions of [n], by
+    one depth-first walk over restricted-growth prefixes.
+
+    The walk keeps the last element of each block and the closed arcs
+    (x, y, depth) in close order, and passes the running maxima (ne, cr)
+    down. Placing i as a singleton adds no arc; joining i to a block whose
+    last element is a closes the arc (a, i). Every earlier arc is closed by
+    then, so (a, i) is outermost in a nested chain of 1 + the largest depth
+    among arcs opening after a, and last in a crossing family of 1 + the
+    longest chain of arcs with x < a < y whose opens (in close order)
+    increase. Distinct arcs have distinct opens and distinct closes, and no
+    closed arc opens at a, the last element of its block, so no comparison
+    here needs a rule for ties.
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    counts = Counter()
+    last = []
+    arcs = []
+
+    def grow(i, ne, cr):
+        if i > n:
+            counts[ne, cr] += 1
+            return
+        last.append(i)
+        grow(i + 1, ne, cr)
+        last.pop()
+        for b, a in enumerate(last):
+            depth = 0
+            tails = []  # tails[k]: least last open of an increasing chain of k + 1
+            for x, y, d in arcs:
+                if x > a:
+                    if d > depth:
+                        depth = d
+                elif x < a < y:
+                    k = bisect_left(tails, x)
+                    tails[k : k + 1] = [x]  # replace tails[k], or append
+            depth += 1
+            cross = len(tails) + 1
+            arcs.append((a, i, depth))
+            last[b] = i
+            grow(i + 1, depth if depth > ne else ne, cross if cross > cr else cr)
+            last[b] = a
+            arcs.pop()
+
+    grow(1, 0, 0)
+    return counts
+
+
+def _marginal(n, side):
+    """Counter of one side (0 nesting, 1 crossing) of the walk's pairs."""
+    out = Counter()
+    for pair, c in _nesting_crossing_walk(n).items():
+        out[pair[side]] += c
+    return out
+
+
 @lru_cache(maxsize=None)
 def _nesting_profile(n):
     """Counter of max_nesting over all partitions of [n]."""
-    return Counter(
-        max_nesting(standard_representation(p)) for p in enumerate_partitions(n)
-    )
+    return _marginal(n, 0)
 
 
 @lru_cache(maxsize=None)
 def _crossing_profile(n):
-    return Counter(
-        max_crossing(standard_representation(p)) for p in enumerate_partitions(n)
-    )
+    """Counter of max_crossing over all partitions of [n]."""
+    return _marginal(n, 1)
 
 
 def count_nonnesting(n: int, m: int, limit: int = ORACLE_LIMIT) -> int:
@@ -278,11 +336,7 @@ def label_distribution(n: int, m: int, limit: int = ORACLE_LIMIT) -> dict:
 def joint_nesting_crossing(n: int, limit: int = ORACLE_LIMIT) -> dict:
     """Map (max_nesting, max_crossing) -> count over all partitions of [n]."""
     check_oracle_scale(n, limit)
-    counts = Counter()
-    for p in enumerate_partitions(n):
-        d = standard_representation(p)
-        counts[(max_nesting(d), max_crossing(d))] += 1
-    return dict(counts)
+    return dict(_nesting_crossing_walk(n))
 
 
 def bell_numbers(N: int) -> list[int]:

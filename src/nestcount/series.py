@@ -182,8 +182,9 @@ def substitute_pair(P: dict, j: int) -> dict:
     m = len(next(iter(P)))
     if not 2 <= j <= m:
         raise ValueError(f"j={j} out of range for m={m}")
-    if min_exponent(P) < 0:
-        raise SeriesConsistencyError("substitute_pair on a Laurent input")
+    bad = next((e for e in P if min(e) < 0), None)
+    if bad is not None:
+        raise SeriesConsistencyError(f"substitute_pair on a Laurent input: monomial {bad}")
     out = {}
     for e, c in P.items():
         if e[j - 1] != 0:

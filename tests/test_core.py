@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -43,6 +44,16 @@ def brute_max_crossing(arcs):
             ):
                 return r
     return 0
+
+
+def joint_by_diagram(n):
+    """(max_nesting, max_crossing) -> count, one partition at a time from
+    the per-diagram definitions."""
+    counts = Counter()
+    for p in enumerate_partitions(n):
+        d = standard_representation(p)
+        counts[(max_nesting(d), max_crossing(d))] += 1
+    return counts
 
 
 class TestSetPartition:
@@ -205,8 +216,26 @@ class TestCounts:
         assert core.nonnesting_sequence(1, 5) == [1, 1, 2, 5, 14, 42]
         # the scale guard runs on N before any partition is enumerated
         monkeypatch.setattr(core, "enumerate_partitions", None)
+        monkeypatch.setattr(core, "_nesting_crossing_walk", None)
         with pytest.raises(ValueError, match="refusing"):
             core.nonnesting_sequence(2, 14)
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_walk_equals_per_diagram_counts(self, n):
+        want = joint_by_diagram(n)
+        assert core.joint_nesting_crossing(n) == dict(want)
+        for m in range(n + 1):
+            assert count_nonnesting(n, m) == sum(c for (ne, _), c in want.items() if ne <= m)
+            assert count_noncrossing(n, m) == sum(c for (_, cr), c in want.items() if cr <= m)
+
+    def test_empty_partition_stats(self):
+        assert core.joint_nesting_crossing(0) == {(0, 0): 1}
+
+    def test_negative_size_rejected(self):
+        for fn in (core.joint_nesting_crossing, lambda n: count_nonnesting(n, 2),
+                   lambda n: count_noncrossing(n, 2)):
+            with pytest.raises(ValueError, match="n must be >= 0"):
+                fn(-1)
 
     def test_bell_for_small_n(self):
         # an (m+1)-nesting needs 2(m+1) vertices

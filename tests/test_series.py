@@ -285,6 +285,11 @@ class TestSubstitutePair:
         with pytest.raises(ValueError):
             substitute_pair({(0, 0): 1}, 1)
 
+    def test_laurent_input_names_the_monomial(self):
+        with pytest.raises(SeriesConsistencyError, match=r"\(2, -1, 0\)") as info:
+            substitute_pair({(1, 0, 0): 3, (2, -1, 0): 1, (0, 0, -2): 5}, 2)
+        assert "(0, 0, -2)" not in str(info.value)
+
 
 class TestGeometricInverse:
     def test_m2_degree_2(self):
