@@ -45,6 +45,8 @@ class SetPartition:
         owner = {}
         for block in blocks:
             for v in block:
+                if v in owner:
+                    raise ValueError("blocks must partition 1..n")
                 owner[v] = tuple(sorted(block))[0]
         n = len(owner)
         if sorted(owner) != list(range(1, n + 1)):

@@ -72,16 +72,6 @@ def poly_eval(p, point):
     return total
 
 
-def min_exponent(p):
-    """Smallest exponent appearing in any variable; 0 for the zero poly."""
-    lo = 0
-    for e in p:
-        m = min(e)
-        if m < lo:
-            lo = m
-    return lo
-
-
 def truncate_total_degree(p, bound):
     return {e: c for e, c in p.items() if sum(e) <= bound}
 

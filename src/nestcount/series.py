@@ -14,12 +14,16 @@ with exact integer coefficients.
                     + sum_j F(.., x_{j-1}+x_j, 0, ..;t)/x_j )
   with s = 1+x_1+..+x_m and h = 1 + 1/x_1 + .. + 1/x_m. Each right-hand
   term but s carries a factor t, so one forward sweep from F_0 = s builds
-  t-order k+1 from t-order k alone, once. States are kept finite by the
-  w-grading: a monomial at t-order k is retained iff its total x-degree is
-  <= W - k. Every right-hand operator moves a monomial of weight
-  w = degree + order to monomials of weight >= w (divisions by a single x
-  cost one degree but always ride a factor of t), so the grading is closed
-  under the sweep; `x_engine(..., weight_bound=2*N)` lets tests confirm
+  t-order k+1 from t-order k alone, once.
+  With q = x_2+..+x_m, s - x_1 = 1 + q, so s/(s-x_1) = 1 + x_1/(1+q) and
+  the kernel term is G/x_1 + G/(1+q) with G = F(0,x_2,..,x_m;t). The
+  quotient Q = G/(1+q) is exact: forward substitution on total degree,
+  Q_d = G_d - q*Q_{d-1}, stopped at the order's degree cap. States are
+  kept finite by the w-grading: a monomial at t-order k is retained iff
+  its total x-degree is <= W - k. Every right-hand operator moves a
+  monomial of weight w = degree + order to monomials of weight >= w
+  (divisions by a single x cost one degree but always ride a factor of t),
+  so the grading is closed under the sweep; `x_engine(..., weight_bound=2*N)` lets tests confirm
   counts are unchanged under a doubled bound.
 
 Coefficients of committed states are non-negative integers; intermediates
@@ -30,10 +34,10 @@ exponent surviving into a committed state, raises SeriesConsistencyError.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import comb
 
 from .polyops import (
-    min_exponent,
     poly_add,
     poly_eval,
     poly_mul,
@@ -157,20 +161,6 @@ def _h_poly(m):
     return p
 
 
-def geometric_inverse(m: int, D: int) -> dict:
-    """Power series of 1/(1 + x_2 + .. + x_m) to total degree <= D."""
-    if D < 0:
-        raise ValueError("D must be >= 0")
-    q = {tuple(1 if k == i else 0 for k in range(m)): -1 for i in range(1, m)}
-    inv = power = {zero_mono(m): 1}
-    for _ in range(D):
-        power = poly_mul(power, q, D)
-        if not power:
-            break
-        inv = poly_add(inv, power)
-    return inv
-
-
 def substitute_pair(P: dict, j: int) -> dict:
     """x_{j-1} <- x_{j-1} + x_j and x_j <- 0, by binomial expansion.
 
@@ -214,23 +204,40 @@ def _zero_x1_div_x1(p):
     return {(-1,) + e[1:]: c for e, c in p.items() if e[0] == 0}
 
 
-def _x_kernel(m, W):
-    """s, h and s/(1 + x_2 + .. + x_m), the factors every order-step uses."""
-    s = _s_poly(m)
-    return s, _h_poly(m), poly_mul(s, geometric_inverse(m, W), W)
+def _divide_by_one_plus_q(G, cap):
+    """G / (1 + q), q = x_2 + .. + x_m, to total degree <= cap, for a true
+    polynomial G: Q_d = G_d - q * Q_{d-1}, one total degree d at a time."""
+    layers = [{} for _ in range(cap + 1)]
+    for e, c in G.items():
+        if sum(e) <= cap:
+            layers[sum(e)][e] = c
+    out, prev = {}, {}
+    for cur in layers:
+        for e, c in prev.items():
+            for i in range(1, len(e)):
+                key = e[:i] + (e[i] + 1,) + e[i + 1 :]
+                v = cur.get(key, 0) - c
+                if v:
+                    cur[key] = v
+                else:
+                    del cur[key]
+        out.update(cur)
+        prev = cur
+    return out
 
 
 def _x_step(Fk, k, m, W, kernel):
-    """t-order k+1 of the right-hand side, from the final t-order k of F."""
-    s, h, s_ginv = kernel
+    """t-order k+1 of the right-hand side, from the final t-order k of F;
+    kernel is (s, h), and s/(s - x_1) is taken as the module docstring says."""
+    s, h = kernel
     cap = W - (k + 1)
-    pos = poly_mul(poly_mul(Fk, h, cap), s, cap)
-    inner = poly_mul(_zero_x1_div_x1(Fk), s_ginv, cap)
+    zero_x1 = {e: c for e, c in Fk.items() if e[0] == 0}
+    inner = poly_add(_zero_x1_div_x1(Fk), _divide_by_one_plus_q(zero_x1, cap))
     for j in range(2, m + 1):
         inner = poly_add(inner, _divide_by_var(substitute_pair(Fk, j), j - 1))
-    out = poly_sub(pos, poly_mul(inner, s, cap))
-    if min_exponent(out) < 0:
-        bad = next(e for e in out if min(e) < 0)
+    out = poly_mul(poly_sub(poly_mul(Fk, h, cap), inner), s, cap)
+    bad = next((e for e in out if min(e) < 0), None)
+    if bad is not None:
         raise SeriesConsistencyError(f"negative exponent survived in {bad}")
     return out
 
@@ -249,7 +256,7 @@ def x_series(m: int, N: int, weight_bound: int | None = None) -> list[dict]:
     W = N if weight_bound is None else weight_bound
     if W < N:
         raise ValueError("weight_bound must be >= N")
-    kernel = _x_kernel(m, W)
+    kernel = _s_poly(m), _h_poly(m)
     F = [truncate_total_degree(kernel[0], W)]
     for k in range(N):
         try:
@@ -275,7 +282,7 @@ def x_engine(
     counts = [Fk.get(zero, 0) for Fk in F]
     if check_stable:
         W = N if weight_bound is None else weight_bound
-        kernel = _x_kernel(m, W)
+        kernel = _s_poly(m), _h_poly(m)
         for k in range(N):
             if _x_step(F[k], k, m, W, kernel) != F[k + 1]:
                 raise SeriesConsistencyError(
@@ -298,20 +305,16 @@ def v_identity_check(m: int, N: int, sample_points) -> bool:
     iff every t-coefficient agrees at every point.
     """
     pts = [tuple(Fraction(c) for c in pt) for pt in sample_points]
+    us = []
     for pt in pts:
-        if len(pt) != m or any(c == 0 for c in pt):
-            raise ValueError(f"invalid sample point {pt}: need m nonzero coords")
+        # v_1..v_{m+1}, with v_j = 1 + x_m + .. + x_j and v_{m+1} = 1
+        v = list(accumulate(reversed(pt), initial=Fraction(1)))[::-1]
+        if len(pt) != m or 0 in pt or 0 in v:
+            raise ValueError(f"invalid sample point {pt}: need m nonzero coords and nonzero v_j")
+        us.append(tuple(a / b for a, b in zip(v, v[1:])))  # u_j = v_j / v_{j+1}
     useries = u_series(m, N)
     xseries = x_series(m, N, weight_bound=2 * N + 2)
-    for pt in pts:
-        # v_j = 1 + x_m + .. + x_j, v_{m+1} = 1; u_j = v_j / v_{j+1}
-        v = [None] * (m + 2)
-        v[m + 1] = Fraction(1)
-        acc = Fraction(1)
-        for j in range(m, 0, -1):
-            acc += pt[j - 1]
-            v[j] = acc
-        u = tuple(v[j] / v[j + 1] for j in range(1, m + 1))
+    for pt, u in zip(pts, us):
         for n in range(N + 1):
             if poly_eval(useries[n], u) != poly_eval(xseries[n], pt):
                 return False

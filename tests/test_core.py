@@ -67,6 +67,11 @@ class TestSetPartition:
         assert RUNNING_EXAMPLE.rgs == (1, 2, 3, 4, 2, 2, 3, 2)
         assert str(RUNNING_EXAMPLE) == "1|2 5 6 8|3 7|4"
 
+    @pytest.mark.parametrize("blocks", [[[1, 2], [2, 3]], [[1, 2], [1, 2]], [[1, 1]]])
+    def test_from_blocks_rejects_overlap(self, blocks):
+        with pytest.raises(ValueError, match="blocks must partition"):
+            SetPartition.from_blocks(blocks)
+
     def test_block_order_by_descending_max(self):
         assert RUNNING_EXAMPLE.blocks_by_max_desc() == [
             [2, 5, 6, 8],

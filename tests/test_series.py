@@ -10,7 +10,6 @@ from nestcount.polyops import (
 )
 from nestcount.series import (
     SeriesConsistencyError,
-    geometric_inverse,
     substitute_pair,
     u_engine,
     u_series,
@@ -20,9 +19,20 @@ from nestcount.series import (
 )
 
 
+def geometric_inverse(m, D):
+    """Power series of 1/(1 + x_2 + .. + x_m) to total degree <= D."""
+    q = {tuple(1 if k == i else 0 for k in range(m)): -1 for i in range(1, m)}
+    inv = power = {zero_mono(m): 1}
+    for _ in range(D):
+        power = poly_mul(power, q, D)
+        inv = poly_add(inv, power)
+    return inv
+
+
 def x_series_by_passes(m, N, W):
     """Reference: the whole right-hand operator applied to every t-order,
-    N+1 times from F = s, with each product truncated as it is formed."""
+    N+1 times from F = s, with each product truncated as it is formed and
+    s/(s - x_1) taken as s times the truncated inverse of 1 + x_2 + .. + x_m."""
     units = [tuple(1 if k == i else 0 for k in range(m)) for i in range(m)]
     s = {zero_mono(m): 1, **{e: 1 for e in units}}
     h = {zero_mono(m): 1, **{tuple(-a for a in e): 1 for e in units}}
@@ -291,24 +301,39 @@ class TestSubstitutePair:
         assert "(0, 0, -2)" not in str(info.value)
 
 
-class TestGeometricInverse:
+class TestDivideByOnePlusQ:
     def test_m2_degree_2(self):
-        assert geometric_inverse(2, 2) == {(0, 0): 1, (0, 1): -1, (0, 2): 1}
+        quotient = series._divide_by_one_plus_q({(0, 0): 1}, 2)
+        assert quotient == {(0, 0): 1, (0, 1): -1, (0, 2): 1}
 
     def test_m3_degree_1(self):
-        assert geometric_inverse(3, 1) == {
+        assert series._divide_by_one_plus_q({(0, 0, 0): 1}, 1) == {
             (0, 0, 0): 1,
             (0, 1, 0): -1,
             (0, 0, 1): -1,
         }
 
-    @pytest.mark.parametrize("m,D", [(1, 3), (2, 5), (3, 4), (4, 3)])
-    def test_defining_identity(self, m, D):
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            [],
+            [((0,), 1)],
+            [((1,), 2), ((0, 2), -3), ((0, 1, 2), 5), ((0, 0, 1, 1), 4)],
+            [((1, 1), 1), ((5, 1), 7), ((0, 3, 4), -1)],
+        ],
+        ids=["empty", "one", "within-cap", "above-cap"],
+    )
+    def test_product_with_denominator_is_dividend(self, m, terms):
+        # exponents on x_1, x_2, .., cut or padded to m variables
+        G = {(e + (0,) * m)[:m]: c for e, c in terms}
+        cap = 4
         denom = {zero_mono(m): 1}
         for i in range(1, m):
             denom[tuple(1 if k == i else 0 for k in range(m))] = 1
-        prod = poly_mul(denom, geometric_inverse(m, D), D)
-        assert prod == {zero_mono(m): 1}
+        quotient = series._divide_by_one_plus_q(G, cap)
+        assert all(sum(e) <= cap and c for e, c in quotient.items())
+        assert poly_mul(denom, quotient, cap) == truncate_total_degree(G, cap)
 
 
 class TestKernel:
@@ -338,9 +363,11 @@ class TestVIdentity:
             v_identity_check(2, 3, [(0, 1)])
         with pytest.raises(ValueError):
             v_identity_check(2, 3, [(1,)])
+        with pytest.raises(ValueError, match="invalid sample point"):
+            v_identity_check(2, 2, [(1, -1)])
 
 
 class TestCrossEngine:
-    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
     def test_engines_agree(self, m):
         assert u_engine(m, 10) == x_engine(m, 10) == gtree.sequence(m, 10)
