@@ -44,10 +44,13 @@ class SetPartition:
         """Build from an iterable of blocks (any order, elements 1..n)."""
         owner = {}
         for block in blocks:
+            least = min(block, default=None)
+            if least is None:
+                raise ValueError("blocks must partition 1..n")
             for v in block:
                 if v in owner:
                     raise ValueError("blocks must partition 1..n")
-                owner[v] = tuple(sorted(block))[0]
+                owner[v] = least
         n = len(owner)
         if sorted(owner) != list(range(1, n + 1)):
             raise ValueError("blocks must partition 1..n")

@@ -7,6 +7,14 @@ with exact integer coefficients.
   P_{n+1} is P_n (a polynomial in u_1..u_m) times u_1..u_m plus, for each
   u_j, the exact quotient of P_n - P_n|merge by u_j - 1 times u_1..u_j,
   built in one pass over P_n and added straight into P_{n+1}.
+  Inside the engine a monomial u^e is one int holding e_i in bits
+  w*(i-1) .. w*i - 1, with w = (N + 1).bit_length(). No field overflows:
+  an exponent of P_n is at most n + 1 <= N + 1 < 2^w, the shift and the
+  quotient's u_1..u_{j-1} factor raise an exponent of P_{n-1} (at most n)
+  by one, and the quotient's u_j exponent lies between two of P_{n-1}'s.
+  So the shift adds one constant, a group's rest clears one field, and the
+  quotient's keys step down by 1 << w*(j-1). `u_series` unpacks each order
+  into exponent tuples.
 
 * The x-engine solves the rearranged kernel-form equation
       F = s + s*t*h*F
@@ -54,80 +62,104 @@ class SeriesConsistencyError(RuntimeError):
 # ---------------------------------------------------------------------------
 # u-engine
 
-def _merge_pair(p, j):
+def _pack(e, w):
+    """The exponent tuple e as one int, u_i's exponent in bits w*(i-1) .. w*i - 1."""
+    return sum(x << w * i for i, x in enumerate(e))
+
+
+def _unpack(K, m, w):
+    mask = (1 << w) - 1
+    return tuple((K >> w * i) & mask for i in range(m))
+
+
+def _merge_pair(p, j, w):
     """p - p|merge for 1-based j, grouped as {rest: {exponent of u_j: coeff}},
-    rest being the exponent tuple without u_j's. The merge sets u_j's
-    exponent to u_{j-1}'s, or to 1 for j = 1."""
-    var = j - 1
+    rest being the packed key with u_j's field cleared. The merge sets u_j's
+    exponent to u_{j-1}'s, or to 1 for j = 1, so it is one -sum entry per group."""
+    s = w * (j - 1)
+    mask = (1 << w) - 1
     groups = {}
-    for e, c in p.items():
-        a = e[var - 1] if var else 1
-        b = e[var]
-        if a == b:
+    for K, c in p.items():
+        b = (K >> s) & mask
+        if b == ((K >> (s - w)) & mask if j > 1 else 1):
             continue
-        rest = e[:var] + e[j:]
+        rest = K - (b << s)
         g = groups.get(rest)
         if g is None:
-            groups[rest] = {b: c, a: -c}
+            groups[rest] = {b: c}
         else:
-            g[b] = g.get(b, 0) + c
-            g[a] = g.get(a, 0) - c
+            g[b] = c
+    for rest, g in groups.items():
+        g[(rest >> (s - w)) & mask if j > 1 else 1] = -sum(g.values())
     return groups
 
 
-def _divide_by_var_minus_one(groups, var, out):
+def _divide_by_var_minus_one(groups, var, out, m, w):
     """Add the exact quotient by (u_var - 1), times u_1 .. u_{var+1}, into out
     (var 0-based; groups as `_merge_pair` returns them).
 
     Synthetic division per group: q_k = sum_{i>k} c_i, with remainder
     sum_i c_i, which must vanish (the functional equation guarantees
-    divisibility; a nonzero remainder is a bug).
+    divisibility; a nonzero remainder is a bug). Labels are weakly
+    increasing, so no exponent of u_{var+1} lies below the merge exponent.
     """
+    s = w * var
+    step = 1 << s
+    mask = (1 << w) - 1
+    low = (step - 1) // mask  # u_1 .. u_var
     for rest, coeffs in groups.items():
         remainder = sum(coeffs.values())
         if remainder:
-            monomials = [rest[:var] + (k,) + rest[var:] for k in sorted(coeffs)]
+            monomials = [_unpack(rest + (k << s), m, w) for k in sorted(coeffs)]
             raise SeriesConsistencyError(
                 f"nonzero remainder {remainder} dividing by u_{var + 1} - 1, "
                 f"in the group of exponents {monomials}"
             )
-        head = tuple(x + 1 for x in rest[:var])
-        tail = rest[var:]
+        lo = min(coeffs)
+        merged = (rest >> (s - w)) & mask if var else 1
+        if lo < merged:
+            raise SeriesConsistencyError(
+                f"exponent {lo} of u_{var + 1} below the merge exponent {merged}, "
+                f"in the monomial {_unpack(rest + (lo << s), m, w)}"
+            )
+        hi = max(coeffs)
+        key = rest + low + (hi << s)
         running = 0
-        for k in range(max(coeffs), min(coeffs), -1):
+        for k in range(hi, lo, -1):
             running += coeffs.get(k, 0)
             if running:
-                key = head + (k,) + tail
-                s = out.get(key, 0) + running
-                if s:
-                    out[key] = s
+                t = out.get(key, 0) + running
+                if t:
+                    out[key] = t
                 else:
                     del out[key]
+            key -= step
 
 
-def _shift(p):
-    """Multiply by u_1 u_2 .. u_m (add 1 to every exponent)."""
-    return {tuple(x + 1 for x in e): c for e, c in p.items()}
+def _shift(p, ones):
+    """Multiply by u_1 u_2 .. u_m (add 1 to every exponent field)."""
+    return {K + ones: c for K, c in p.items()}
 
 
-def _u_step(p, m):
-    new = _shift(p)
+def _u_step(p, m, w):
+    new = _shift(p, _pack((1,) * m, w))
     for j in range(1, m + 1):
-        _divide_by_var_minus_one(_merge_pair(p, j), j - 1, new)
+        _divide_by_var_minus_one(_merge_pair(p, j, w), j - 1, new, m, w)
     return new
 
 
 def _u_orders(m, N):
-    """Yield P_0..P_N, keeping only the order being built from."""
+    """Yield P_0..P_N with packed keys, keeping only the order being built from."""
     if m < 1:
         raise ValueError("m must be >= 1")
     if N < 0:
         raise ValueError("N must be >= 0")
-    p = {(1,) * m: 1}
+    w = (N + 1).bit_length()
+    p = {_pack((1,) * m, w): 1}
     yield p
     for n in range(1, N + 1):
         try:
-            p = _u_step(p, m)
+            p = _u_step(p, m, w)
         except SeriesConsistencyError as exc:
             raise SeriesConsistencyError(f"u-engine, m={m}, t-order {n}: {exc}") from exc
         yield p
@@ -136,7 +168,8 @@ def _u_orders(m, N):
 def u_series(m: int, N: int) -> list[dict]:
     """t-coefficients P_0..P_N of the label generating function; P_n maps
     exponent tuples (the labels) to counts."""
-    return list(_u_orders(m, N))
+    w = (N + 1).bit_length()
+    return [{_unpack(K, m, w): c for K, c in p.items()} for p in _u_orders(m, N)]
 
 
 def u_engine(m: int, N: int) -> list[int]:

@@ -72,6 +72,11 @@ class TestSetPartition:
         with pytest.raises(ValueError, match="blocks must partition"):
             SetPartition.from_blocks(blocks)
 
+    @pytest.mark.parametrize("blocks", [[[1], []], [[], [1, 2]], [[]]])
+    def test_from_blocks_rejects_empty_block(self, blocks):
+        with pytest.raises(ValueError, match="blocks must partition"):
+            SetPartition.from_blocks(blocks)
+
     def test_block_order_by_descending_max(self):
         assert RUNNING_EXAMPLE.blocks_by_max_desc() == [
             [2, 5, 6, 8],

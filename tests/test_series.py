@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from nestcount import gtree, series
@@ -52,6 +54,17 @@ def x_series_by_passes(m, N, W):
             new.append(poly_sub(pos, poly_mul(inner, s, cap)))
         F = new
     return F
+
+
+pack = series._pack
+
+
+def packed(p, w):
+    return {pack(e, w): c for e, c in p.items()}
+
+
+def unpacked(p, m, w):
+    return {series._unpack(K, m, w): c for K, c in p.items()}
 
 
 def u_series_by_chain(m, N):
@@ -134,23 +147,25 @@ class TestUEngine:
     def test_division_adds_shifted_quotient(self):
         # (u_1^3 - u_1) / (u_1 - 1) * u_1 = u_1^3 + u_1^2, at u_2's exponent 2;
         # the u_1^3 term cancels what out already holds there
-        out = {(3, 2): -1, (1, 1): 5}
-        series._divide_by_var_minus_one({(2,): {3: 1, 1: -1}}, 0, out)
-        assert out == {(2, 2): 1, (1, 1): 5}
+        w = 3
+        out = packed({(3, 2): -1, (1, 1): 5}, w)
+        series._divide_by_var_minus_one({pack((0, 2), w): {3: 1, 1: -1}}, 0, out, 2, w)
+        assert out == packed({(2, 2): 1, (1, 1): 5}, w)
 
     def test_division_rejects_nonzero_remainder(self):
-        with pytest.raises(SeriesConsistencyError):
-            series._divide_by_var_minus_one({(0,): {1: 1, 0: 1}}, 0, {})
+        with pytest.raises(SeriesConsistencyError, match="nonzero remainder"):
+            series._divide_by_var_minus_one({pack((0, 0), 3): {1: 1, 0: 1}}, 0, {}, 2, 3)
 
     def test_dropped_merge_term_is_caught(self, monkeypatch):
         merge = series._merge_pair
 
-        def drop_one_minus_c(p, j):
-            groups = merge(p, j)
-            for e, c in p.items():
+        def drop_one_minus_c(p, j, w):
+            groups = merge(p, j, w)
+            for K, c in p.items():
+                e = series._unpack(K, 2, w)
                 a = e[j - 2] if j > 1 else 1
                 if a != e[j - 1]:
-                    g = groups[e[: j - 1] + e[j:]]
+                    g = groups[pack(e[: j - 1] + (0,) + e[j:], w)]
                     g[a] += c
                     break
             return groups
@@ -163,17 +178,42 @@ class TestUEngine:
         P2 = u_series(2, 2)[2]
         merge = series._merge_pair
 
-        def corrupt_order_3_in_u2(p, j):
-            groups = merge(p, j)
-            if j == 2 and p == P2:
-                groups[(7,)] = {4: 1, 9: 1}
+        def corrupt_order_3_in_u2(p, j, w):
+            groups = merge(p, j, w)
+            if j == 2 and unpacked(p, 2, w) == P2:
+                groups[pack((7, 0), w)] = {4: 1, 9: 1}
             return groups
 
         monkeypatch.setattr(series, "_merge_pair", corrupt_order_3_in_u2)
         with pytest.raises(SeriesConsistencyError) as info:
-            u_series(2, 3)
+            u_series(2, 7)  # N = 7 packs 4-bit fields, wide enough for u_2^9
         msg = str(info.value)
         for field in ("u-engine", "m=2", "t-order 3", "u_2 - 1", "[(7, 4), (7, 9)]"):
+            assert field in msg
+
+    def test_step_rejects_out_of_order_label(self):
+        # a_1 = 3 > a_2 = 2 is no label; its merge in u_2 would divide into a
+        # negative quotient that cancels a shifted term
+        step = {pack((1, 1), 3): 1, pack((3, 2), 3): 1}
+        with pytest.raises(SeriesConsistencyError, match=r"u_2 .*\(3, 2\)"):
+            series._u_step(step, 2, 3)
+
+    def test_out_of_order_error_names_engine_order_and_monomial(self, monkeypatch):
+        shift = series._shift
+        calls = []
+
+        def add_bad_label_to_order_2(p, ones):
+            out = shift(p, ones)
+            calls.append(None)
+            if len(calls) == 2:
+                out[pack((3, 2), 3)] = 1
+            return out
+
+        monkeypatch.setattr(series, "_shift", add_bad_label_to_order_2)
+        with pytest.raises(SeriesConsistencyError) as info:
+            u_series(2, 3)  # 3-bit fields
+        msg = str(info.value)
+        for field in ("u-engine", "m=2", "t-order 3", "u_2", "(3, 2)"):
             assert field in msg
 
     def test_step_calls_each_layer_hook(self, monkeypatch):
@@ -191,8 +231,28 @@ class TestUEngine:
         P = u_series(3, 4)
         for name in calls:
             monkeypatch.setattr(series, name, counted(name))
-        assert series._u_step(P[3], 3) == P[4]
+        assert unpacked(series._u_step(packed(P[3], 3), 3, 3), 3, 3) == P[4]
         assert calls == {"_shift": 1, "_merge_pair": 3, "_divide_by_var_minus_one": 3}
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_pack_unpack_round_trip(self, m):
+        for w in (1, 2, 6):
+            values = range(1 << w) if w < 6 else (0, 1, 31, 62, 63)
+            exps = list(product(values, repeat=m))
+            keys = [pack(e, w) for e in exps]
+            assert [series._unpack(K, m, w) for K in keys] == exps
+            assert len(set(keys)) == len(exps)
+            assert max(keys) < 1 << w * m
+
+    @pytest.mark.parametrize("m,N", [(2, 14), (3, 14), (2, 62)])
+    def test_largest_exponent_fills_its_field(self, m, N):
+        # w = (N + 1).bit_length() and N + 1 = 2^w - 1: the top label entry
+        # N + 1 sets every bit of its field
+        P = u_series(m, N)
+        assert max(max(e) for e in P[N]) == N + 1 == (1 << (N + 1).bit_length()) - 1
+        if N <= 14:
+            assert P == u_series_by_chain(m, N)
+        assert P == [ms.counts for ms in gtree.levels(m, N)]
 
 
 class TestXEngine:
