@@ -26,13 +26,15 @@ with exact integer coefficients.
   With q = x_2+..+x_m, s - x_1 = 1 + q, so s/(s-x_1) = 1 + x_1/(1+q) and
   the kernel term is G/x_1 + G/(1+q) with G = F(0,x_2,..,x_m;t). The
   quotient Q = G/(1+q) is exact: forward substitution on total degree,
-  Q_d = G_d - q*Q_{d-1}, stopped at the order's degree cap. States are
+  Q_d = G_d - q*Q_{d-1}, stopped at the order's degree cap. The products by
+  h and s are sums of m + 1 shifted copies: the input and, for each i, the
+  input with x_i's exponent moved by -1 (for h) or +1 (for s). States are
   kept finite by the w-grading: a monomial at t-order k is retained iff
   its total x-degree is <= W - k. Every right-hand operator moves a
   monomial of weight w = degree + order to monomials of weight >= w
   (divisions by a single x cost one degree but always ride a factor of t),
-  so the grading is closed under the sweep; `x_engine(..., weight_bound=2*N)` lets tests confirm
-  counts are unchanged under a doubled bound.
+  so the grading is closed under the sweep; `x_engine(..., check_stable=True)`
+  confirms the counts are unchanged under a doubled bound.
 
 Coefficients of committed states are non-negative integers; intermediates
 may carry exponents down to -1 per variable. Anything below, or a negative
@@ -259,16 +261,32 @@ def _divide_by_one_plus_q(G, cap):
     return out
 
 
-def _x_step(Fk, k, m, W, kernel):
+def _times_unit_sum(p, sign, cap):
+    """p * (1 + x_1^sign + .. + x_m^sign) to total degree <= cap, sign = +-1:
+    p plus its m copies shifted by sign in one x_i, each degree taken once."""
+    out, shifted = {}, []
+    for e, c in p.items():
+        d = sum(e)
+        if d <= cap:
+            out[e] = c
+        if d + sign <= cap:
+            shifted.append((e, c))
+    for i in range(len(next(iter(p), ()))):
+        for e, c in shifted:
+            key = e[:i] + (e[i] + sign,) + e[i + 1 :]
+            out[key] = out.get(key, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _x_step(Fk, k, m, W):
     """t-order k+1 of the right-hand side, from the final t-order k of F;
-    kernel is (s, h), and s/(s - x_1) is taken as the module docstring says."""
-    s, h = kernel
+    s/(s - x_1) is taken as the module docstring says."""
     cap = W - (k + 1)
     zero_x1 = {e: c for e, c in Fk.items() if e[0] == 0}
     inner = poly_add(_zero_x1_div_x1(Fk), _divide_by_one_plus_q(zero_x1, cap))
     for j in range(2, m + 1):
         inner = poly_add(inner, _divide_by_var(substitute_pair(Fk, j), j - 1))
-    out = poly_mul(poly_sub(poly_mul(Fk, h, cap), inner), s, cap)
+    out = _times_unit_sum(poly_sub(_times_unit_sum(Fk, -1, cap), inner), 1, cap)
     bad = next((e for e in out if min(e) < 0), None)
     if bad is not None:
         raise SeriesConsistencyError(f"negative exponent survived in {bad}")
@@ -289,11 +307,10 @@ def x_series(m: int, N: int, weight_bound: int | None = None) -> list[dict]:
     W = N if weight_bound is None else weight_bound
     if W < N:
         raise ValueError("weight_bound must be >= N")
-    kernel = _s_poly(m), _h_poly(m)
-    F = [truncate_total_degree(kernel[0], W)]
+    F = [truncate_total_degree(_s_poly(m), W)]
     for k in range(N):
         try:
-            F.append(_x_step(F[k], k, m, W, kernel))
+            F.append(_x_step(F[k], k, m, W))
         except SeriesConsistencyError as exc:
             raise SeriesConsistencyError(f"x-engine, m={m}, t-order {k + 1}: {exc}") from exc
     return F
@@ -307,21 +324,20 @@ def x_engine(
 ) -> list[int]:
     """Counting sequence via the modified x-equation: [x^0] per t-order.
 
-    With check_stable, the order-step is applied once more to every order
-    of the finished series, and each result must equal the next order.
+    With check_stable, a second sweep at twice the weight bound must give the
+    same counts; the bound is exact for them, so only a truncation bug moves one.
     """
-    F = x_series(m, N, weight_bound)
+    W = N if weight_bound is None else weight_bound
     zero = zero_mono(m)
-    counts = [Fk.get(zero, 0) for Fk in F]
+    counts = [Fk.get(zero, 0) for Fk in x_series(m, N, W)]
     if check_stable:
-        W = N if weight_bound is None else weight_bound
-        kernel = _s_poly(m), _h_poly(m)
-        for k in range(N):
-            if _x_step(F[k], k, m, W, kernel) != F[k + 1]:
-                raise SeriesConsistencyError(
-                    f"x-engine, m={m}, t-order {k + 1}: not stabilized, "
-                    f"the step from t-order {k} gives another order"
-                )
+        wide = [Fk.get(zero, 0) for Fk in x_series(m, N, 2 * W)]
+        k = next((k for k in range(N + 1) if counts[k] != wide[k]), None)
+        if k is not None:
+            raise SeriesConsistencyError(
+                f"x-engine, m={m}, t-order {k}: count {counts[k]} at weight bound "
+                f"{W}, {wide[k]} at {2 * W}"
+            )
     return counts
 
 

@@ -308,10 +308,10 @@ class TestXEngine:
         calls = []
         step = series._x_step
 
-        def corrupt_eighth_call(Fk, k, m, W, kernel):
-            # calls 1-5 build t-orders 1-5; calls 6-10 re-apply the step
+        def corrupt_eighth_call(Fk, k, m, W):
+            # calls 1-5 build t-orders 1-5; calls 6-10 the sweep at the doubled bound
             calls.append(k)
-            out = step(Fk, k, m, W, kernel)
+            out = step(Fk, k, m, W)
             return {**out, (0, 0): out.get((0, 0), 0) + 1} if len(calls) == 8 else out
 
         monkeypatch.setattr(series, "_x_step", corrupt_eighth_call)
@@ -321,8 +321,22 @@ class TestXEngine:
         for field in ("x-engine", "m=2", "t-order 3"):
             assert field in msg
 
-    @pytest.mark.parametrize("m", [1, 2, 3])
-    @pytest.mark.parametrize("N", range(9))
+    def test_check_stable_catches_truncation_off_by_one(self, monkeypatch):
+        step = series._x_step
+
+        def drop_cap_degree(Fk, k, m, W):
+            cap = W - (k + 1)
+            return {e: c for e, c in step(Fk, k, m, W).items() if sum(e) != cap}
+
+        monkeypatch.setattr(series, "_x_step", drop_cap_degree)
+        assert x_engine(2, 5) == [1, 1, 2, 5, 15, 0]
+        with pytest.raises(SeriesConsistencyError) as info:
+            x_engine(2, 5, check_stable=True)
+        msg = str(info.value)
+        for field in ("x-engine", "m=2", "t-order 5"):
+            assert field in msg
+
+    @pytest.mark.parametrize("N,m", [(N, m) for N in range(9) for m in range(1, 6) if m < 4 or N <= 5])
     @pytest.mark.parametrize("wide", [False, True])
     def test_sweep_equals_fixpoint_passes(self, m, N, wide):
         W = 2 * N + 2 if wide else N
@@ -332,6 +346,22 @@ class TestXEngine:
         for p in x_series(2, 8, weight_bound=18):
             assert all(min(e) >= 0 for e in p)
             assert all(c > 0 for c in p.values())
+
+
+class TestTimesUnitSum:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("sign", [-1, 1])
+    def test_equals_poly_mul(self, m, sign):
+        units = [tuple(sign if k == i else 0 for k in range(m)) for i in range(m)]
+        factor = {zero_mono(m): 1, **{e: 1 for e in units}}
+        # the copy of 3 shifted by x_1^sign cancels -3 x_1^sign, whose key must go
+        p = {zero_mono(m): 3, tuple(3 if k else -1 for k in range(m)): 5, units[0]: -3}
+        p[tuple(2 if k == m - 1 else -1 for k in range(m))] = -7
+        top = max(map(sum, p))
+        for cap in range(top - 2, top + 3):
+            assert series._times_unit_sum(p, sign, cap) == poly_mul(p, factor, cap)
+        assert units[0] not in series._times_unit_sum(p, sign, top)
+        assert series._times_unit_sum({}, sign, top) == {}
 
 
 class TestSubstitutePair:
