@@ -29,32 +29,44 @@ with exact integer coefficients.
   Q_d = G_d - q*Q_{d-1}, stopped at the order's degree cap. The products by
   h and s are sums of m + 1 shifted copies: the input and, for each i, the
   input with x_i's exponent moved by -1 (for h) or +1 (for s). States are
-  kept finite by the w-grading: a monomial at t-order k is retained iff
-  its total x-degree is <= W - k. Every right-hand operator moves a
-  monomial of weight w = degree + order to monomials of weight >= w
-  (divisions by a single x cost one degree but always ride a factor of t),
-  so the grading is closed under the sweep; `x_engine(..., check_stable=True)`
-  confirms the counts are unchanged under a doubled bound.
+  kept finite by a grading: a monomial at t-order k is retained iff its
+  total x-degree is <= W - k. Every right-hand operator moves a monomial of
+  weight degree + order to monomials of no lower weight (divisions by a
+  single x cost one degree but always ride a factor of t), so the grading
+  is closed under the sweep; `x_engine(..., check_stable=True)` confirms the
+  counts are unchanged under a doubled bound.
+  Inside the engine a monomial x^e is one int K: field i < m (bits w*i ..
+  w*i + w - 1) holds e_i + 1, so an exponent of -1 is a field of 0, and the
+  top field (from bit w*m) holds the degree + m. With U_i = (1 << w*i) +
+  (1 << w*m), a product by x_i^(+-1) is K +- U_i, degree <= d is
+  K < (d + m + 1) << w*m, x_1-free is K & (2^w - 1) == 1, and substitution j
+  moves a key by (1 << w*(j-1)) - (1 << w*(j-2)) per unit moved from x_{j-1}
+  to x_j. No subtraction borrows: committed fields are >= 1 (F_0's, and the
+  guard checks each new order), the product by h and the divisions by x_1
+  and x_j take one unit from a field, the substitution takes i <= a from a
+  field holding a + 1 (its division by x_j one of the i + 1 the next field
+  then holds), and the rest only add; so the low fields are >= 0 and sum to
+  the top one. No field overflows: every key formed has degree <= W (the
+  products and the quotient stop at the cap W - k - 1, the substitution
+  keeps F_k's degree <= W - k), so a field is <= W + m < 2^(w-1) for
+  w = (W + m).bit_length() + 1. Each field's top bit is thus spare, and the
+  guard adds 2^(w-1) - 1 to every field: all m spare bits are then set iff
+  no field is 0. `x_series` unpacks each order as it is built, sharing one
+  exponent tuple per key across orders.
 
-Coefficients of committed states are non-negative integers; intermediates
-may carry exponents down to -1 per variable. Anything below, or a negative
-exponent surviving into a committed state, raises SeriesConsistencyError.
+Coefficients of committed states are non-negative integers. Intermediates
+of the x-engine may carry an exponent of -1 per variable; one surviving into
+a committed state raises SeriesConsistencyError.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from itertools import accumulate
 from math import comb
 
-from .polyops import (
-    poly_add,
-    poly_eval,
-    poly_mul,
-    poly_sub,
-    truncate_total_degree,
-    zero_mono,
-)
+from .polyops import poly_eval, poly_mul, truncate_total_degree, zero_mono
 
 
 class SeriesConsistencyError(RuntimeError):
@@ -225,32 +237,62 @@ def substitute_pair(P: dict, j: int) -> dict:
     return out
 
 
-def _divide_by_var(p, var):
-    out = {}
-    for e, c in p.items():
-        if e[var] < 0:
-            raise SeriesConsistencyError(f"exponent below -1 dividing {e} by x_{var + 1}")
-        out[e[:var] + (e[var] - 1,) + e[var + 1 :]] = c
-    return out
+def _x_width(W, m):
+    """Bits per field of a packed x-engine key at weight bound W: W + m fits
+    below the spare top bit (see the module docstring)."""
+    return (W + m).bit_length() + 1
 
 
-def _zero_x1_div_x1(p):
-    """F(0, x_2, .., x_m) / x_1: keep x_1-free monomials, exponent -> -1."""
-    return {(-1,) + e[1:]: c for e, c in p.items() if e[0] == 0}
+def _xpack(e, w):
+    """The exponent tuple e as one int: e_i + 1 in field i, degree + m on top."""
+    m = len(e)
+    return sum((x + 1) << w * i for i, x in enumerate(e)) + (sum(e) + m << w * m)
 
 
-def _divide_by_one_plus_q(G, cap):
-    """G / (1 + q), q = x_2 + .. + x_m, to total degree <= cap, for a true
-    polynomial G: Q_d = G_d - q * Q_{d-1}, one total degree d at a time."""
-    layers = [{} for _ in range(cap + 1)]
-    for e, c in G.items():
-        if sum(e) <= cap:
-            layers[sum(e)][e] = c
+def _xunpack(keys, m, w):
+    """The exponent tuples of packed keys, in order, built field by field."""
+    mask = (1 << w) - 1
+    return list(zip(*[[(K >> w * i & mask) - 1 for K in keys] for i in range(m)]))
+
+
+def _first_negative(keys, m, w):
+    """The first key with an exponent of -1 (a field of 0), or None: adding
+    2^(w-1) - 1 to a field sets its spare top bit iff the field is >= 1."""
+    ones = sum(1 << w * i for i in range(m))
+    spare = ones << w - 1
+    fill = spare - ones
+    return next((K for K in keys if K + fill & spare != spare), None)
+
+
+def _times_units(p, sign, lim, m, w):
+    """p * (1 + x_1^sign + .. + x_m^sign) on packed keys below lim, sign = +-1:
+    p plus its m copies moved by sign * (unit of field i + unit of the degree).
+    Zero coefficients of p (most of the kernel step's at m = 5) are skipped."""
+    top = 1 << w * m
+    out = defaultdict(int, {K: c for K, c in p.items() if c and K < lim})
+    bound = lim - sign * top
+    shifted = [(K, c) for K, c in p.items() if c and K < bound]
+    for i in range(m):
+        d = sign * ((1 << w * i) + top)
+        for K, c in shifted:
+            out[K + d] += c
+    return {K: c for K, c in out.items() if c}
+
+
+def _over_one_plus_q(G, lim, m, w):
+    """G / (1 + q), q = x_2 + .. + x_m, on packed keys below lim, for a true
+    polynomial G: Q_d = G_d - q * Q_{d-1}, one degree (top field) at a time."""
+    s = w * m
+    layers = [{} for _ in range(lim >> s)]
+    for K, c in G.items():
+        if K < lim:
+            layers[K >> s][K] = c
+    moves = [(1 << w * i) + (1 << s) for i in range(1, m)]
     out, prev = {}, {}
     for cur in layers:
-        for e, c in prev.items():
-            for i in range(1, len(e)):
-                key = e[:i] + (e[i] + 1,) + e[i + 1 :]
+        for K, c in prev.items():
+            for d in moves:
+                key = K + d
                 v = cur.get(key, 0) - c
                 if v:
                     cur[key] = v
@@ -261,35 +303,44 @@ def _divide_by_one_plus_q(G, cap):
     return out
 
 
-def _times_unit_sum(p, sign, cap):
-    """p * (1 + x_1^sign + .. + x_m^sign) to total degree <= cap, sign = +-1:
-    p plus its m copies shifted by sign in one x_i, each degree taken once."""
-    out, shifted = {}, []
-    for e, c in p.items():
-        d = sum(e)
-        if d <= cap:
-            out[e] = c
-        if d + sign <= cap:
-            shifted.append((e, c))
-    for i in range(len(next(iter(p), ()))):
-        for e, c in shifted:
-            key = e[:i] + (e[i] + sign,) + e[i + 1 :]
-            out[key] = out.get(key, 0) + c
-    return {e: c for e, c in out.items() if c}
+def _x_substitute(p, j, w):
+    """`substitute_pair` on packed keys of a true polynomial: an x_j-free key
+    with x_{j-1}^a moves by i units from field j-2 to field j-1, coefficient
+    C(a, i). No two keys meet: fields j-2 and j-1 of an image sum to a + 2."""
+    mask = (1 << w) - 1
+    lo, hi = w * (j - 2), w * (j - 1)
+    move = (1 << hi) - (1 << lo)
+    out = {}
+    for K, c in p.items():
+        if K >> hi & mask == 1:
+            a = (K >> lo & mask) - 1
+            for i in range(a + 1):
+                out[K + i * move] = c * comb(a, i)
+    return out
 
 
-def _x_step(Fk, k, m, W):
-    """t-order k+1 of the right-hand side, from the final t-order k of F;
-    s/(s - x_1) is taken as the module docstring says."""
-    cap = W - (k + 1)
-    zero_x1 = {e: c for e, c in Fk.items() if e[0] == 0}
-    inner = poly_add(_zero_x1_div_x1(Fk), _divide_by_one_plus_q(zero_x1, cap))
+def _subtract(acc, p, d):
+    """acc -= p with every key moved by d."""
+    for K, c in p.items():
+        acc[K + d] -= c
+
+
+def _x_step(F, k, m, W):
+    """t-order k+1 of the right-hand side from the final t-order k of F, both
+    on packed keys; s/(s - x_1) is taken as the module docstring says."""
+    w = _x_width(W, m)
+    top = 1 << w * m
+    lim = W - k + m << w * m  # total degree <= W - (k + 1)
+    G = {K: c for K, c in F.items() if K & (1 << w) - 1 == 1}
+    acc = defaultdict(int, _times_units(F, -1, lim, m, w))
+    _subtract(acc, G, -1 - top)  # G / x_1
+    _subtract(acc, _over_one_plus_q(G, lim, m, w), 0)
     for j in range(2, m + 1):
-        inner = poly_add(inner, _divide_by_var(substitute_pair(Fk, j), j - 1))
-    out = _times_unit_sum(poly_sub(_times_unit_sum(Fk, -1, cap), inner), 1, cap)
-    bad = next((e for e in out if min(e) < 0), None)
+        _subtract(acc, _x_substitute(F, j, w), -(1 << w * (j - 1)) - top)  # / x_j
+    out = _times_units(acc, 1, lim, m, w)
+    bad = _first_negative(out, m, w)
     if bad is not None:
-        raise SeriesConsistencyError(f"negative exponent survived in {bad}")
+        raise SeriesConsistencyError(f"negative exponent survived in {_xunpack([bad], m, w)[0]}")
     return out
 
 
@@ -307,13 +358,23 @@ def x_series(m: int, N: int, weight_bound: int | None = None) -> list[dict]:
     W = N if weight_bound is None else weight_bound
     if W < N:
         raise ValueError("weight_bound must be >= N")
-    F = [truncate_total_degree(_s_poly(m), W)]
+    w = _x_width(W, m)
+    exps = {}  # one exponent tuple per packed key, shared by every order
+
+    def unpacked(F):
+        fresh = [K for K in F if K not in exps]
+        exps.update(zip(fresh, _xunpack(fresh, m, w)))
+        return {exps[K]: c for K, c in F.items()}
+
+    F = {_xpack(e, w): c for e, c in truncate_total_degree(_s_poly(m), W).items()}
+    out = [unpacked(F)]
     for k in range(N):
         try:
-            F.append(_x_step(F[k], k, m, W))
+            F = _x_step(F, k, m, W)
         except SeriesConsistencyError as exc:
             raise SeriesConsistencyError(f"x-engine, m={m}, t-order {k + 1}: {exc}") from exc
-    return F
+        out.append(unpacked(F))
+    return out
 
 
 def x_engine(

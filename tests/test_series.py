@@ -46,11 +46,14 @@ def x_series_by_passes(m, N, W):
             Fk = F[k]
             cap = W - (k + 1)
             pos = poly_mul(poly_mul(Fk, h, cap), s, cap)
-            inner = poly_mul(poly_mul(series._zero_x1_div_x1(Fk), ginv, cap), s, cap)
+            # F(0, x_2, .., x_m) / x_1
+            g = {(-1,) + e[1:]: c for e, c in Fk.items() if e[0] == 0}
+            inner = poly_mul(poly_mul(g, ginv, cap), s, cap)
             for j in range(2, m + 1):
-                inner = poly_add(
-                    inner, series._divide_by_var(substitute_pair(Fk, j), j - 1)
-                )
+                # F(.., x_{j-1} + x_j, 0, ..) / x_j
+                sub = substitute_pair(Fk, j)
+                sub = {e[: j - 1] + (e[j - 1] - 1,) + e[j:]: c for e, c in sub.items()}
+                inner = poly_add(inner, sub)
             new.append(poly_sub(pos, poly_mul(inner, s, cap)))
         F = new
     return F
@@ -65,6 +68,14 @@ def packed(p, w):
 
 def unpacked(p, m, w):
     return {series._unpack(K, m, w): c for K, c in p.items()}
+
+
+def xpacked(p, w):
+    return {series._xpack(e, w): c for e, c in p.items()}
+
+
+def xunpacked(p, m, w):
+    return dict(zip(series._xunpack(p, m, w), p.values()))
 
 
 def u_series_by_chain(m, N):
@@ -279,25 +290,32 @@ class TestXEngine:
         assert x_engine(2, 6, check_stable=True) == [1, 1, 2, 5, 15, 52, 202]
 
     @pytest.mark.parametrize(
-        "helper,bad",
+        "helper,call,bad,named",
         [
-            # after x_2 -> 0 no x_2 exponent is -1, so dividing by x_2 gives -2
-            ("substitute_pair", {(5, -1): 1}),
-            # a term no other term of the order can cancel
-            ("_divide_by_var", {(-1, 0): 10**30}),
+            # an extra x_2-free image, left with x_2^-1 by the division by x_2
+            # and too large for any term of the order to cancel; at m = 2 the
+            # substitution runs once per step, so call 3 is t-order 3
+            ("_x_substitute", 3, {(1, 0): 10**30}, r"\([12], -1\)"),
+            # a term no other term of the order can cancel; the products run
+            # twice per step, so call 6 is t-order 3's product by s
+            ("_times_units", 6, {(-1, 0): 10**30}, r"\(-1, 0\)"),
         ],
+        ids=["x_substitute", "times_units"],
     )
-    def test_consistency_error_names_engine_m_and_order(self, monkeypatch, helper, bad):
+    def test_consistency_error_names_engine_m_and_order(
+        self, monkeypatch, helper, call, bad, named
+    ):
         calls = []
         real = getattr(series, helper)
 
-        def corrupt_third_call(p, j):
-            calls.append(j)
-            out = real(p, j)
-            return {**out, **bad} if len(calls) == 3 else out
+        def corrupt(*args):
+            calls.append(None)
+            out = real(*args)
+            w = args[-1]
+            return {**out, **xpacked(bad, w)} if len(calls) == call else out
 
-        monkeypatch.setattr(series, helper, corrupt_third_call)
-        with pytest.raises(SeriesConsistencyError) as info:
+        monkeypatch.setattr(series, helper, corrupt)
+        with pytest.raises(SeriesConsistencyError, match=named) as info:
             x_series(2, 5)
         msg = str(info.value)
         for field in ("x-engine", "m=2", "t-order 3"):
@@ -308,11 +326,12 @@ class TestXEngine:
         calls = []
         step = series._x_step
 
-        def corrupt_eighth_call(Fk, k, m, W):
+        def corrupt_eighth_call(F, k, m, W):
             # calls 1-5 build t-orders 1-5; calls 6-10 the sweep at the doubled bound
             calls.append(k)
-            out = step(Fk, k, m, W)
-            return {**out, (0, 0): out.get((0, 0), 0) + 1} if len(calls) == 8 else out
+            out = step(F, k, m, W)
+            zero = series._xpack((0, 0), series._x_width(W, m))
+            return {**out, zero: out.get(zero, 0) + 1} if len(calls) == 8 else out
 
         monkeypatch.setattr(series, "_x_step", corrupt_eighth_call)
         with pytest.raises(SeriesConsistencyError) as info:
@@ -324,9 +343,11 @@ class TestXEngine:
     def test_check_stable_catches_truncation_off_by_one(self, monkeypatch):
         step = series._x_step
 
-        def drop_cap_degree(Fk, k, m, W):
+        def drop_cap_degree(F, k, m, W):
             cap = W - (k + 1)
-            return {e: c for e, c in step(Fk, k, m, W).items() if sum(e) != cap}
+            w = series._x_width(W, m)
+            # the top field holds the total degree + m
+            return {K: c for K, c in step(F, k, m, W).items() if K >> w * m != cap + m}
 
         monkeypatch.setattr(series, "_x_step", drop_cap_degree)
         assert x_engine(2, 5) == [1, 1, 2, 5, 15, 0]
@@ -348,20 +369,66 @@ class TestXEngine:
             assert all(c > 0 for c in p.values())
 
 
+class TestPackedKeys:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_pack_unpack_round_trip(self, m):
+        vectors = list(product(range(-1, 4), repeat=m))
+        for W in (3 * m, 100):
+            w = series._x_width(W, m)
+            keys = [series._xpack(e, w) for e in vectors]
+            assert series._xunpack(keys, m, w) == vectors
+            assert len(set(keys)) == len(vectors)
+            assert [K >> w * m for K in keys] == [sum(e) + m for e in vectors]
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_any_field_zero_agrees_with_per_field_check(self, m):
+        w = series._x_width(3 * m, m)  # every vector's degree is <= 3m
+        vectors = list(product(range(-1, 4), repeat=m))
+        for e in vectors:
+            K = series._xpack(e, w)
+            assert series._first_negative([K], m, w) == (K if min(e) < 0 else None)
+        keys = [series._xpack(e, w) for e in vectors]
+        first = next(e for e in vectors if min(e) < 0)
+        assert series._first_negative(keys, m, w) == series._xpack(first, w)
+
+    @pytest.mark.parametrize("m,N,W", [(1, 6, 14), (2, 6, 13), (3, 5, 12)])
+    def test_fields_fit_where_the_width_steps(self, m, N, W):
+        # W + m = 15 is the largest bound packed in 5-bit fields (4 bits and
+        # the spare bit); one more and the width steps to 6
+        w = series._x_width(W, m)
+        assert (w, series._x_width(W + 1, m)) == (5, 6)
+        F = x_series(m, N, W)
+        top_exponent = max(max(e) for Fk in F for e in Fk)
+        top_degree = max(sum(e) for Fk in F for e in Fk)
+        assert top_exponent + 1 <= top_degree + m <= W + m < 1 << w - 1
+        assert F == x_series_by_passes(m, N, W)
+
+
 class TestTimesUnitSum:
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     @pytest.mark.parametrize("sign", [-1, 1])
     def test_equals_poly_mul(self, m, sign):
         units = [tuple(sign if k == i else 0 for k in range(m)) for i in range(m)]
         factor = {zero_mono(m): 1, **{e: 1 for e in units}}
-        # the copy of 3 shifted by x_1^sign cancels -3 x_1^sign, whose key must go
-        p = {zero_mono(m): 3, tuple(3 if k else -1 for k in range(m)): 5, units[0]: -3}
-        p[tuple(2 if k == m - 1 else -1 for k in range(m))] = -7
+        # the copy of 3 x_1^2 shifted by x_1^sign cancels -3 x_1^(2 + sign), whose
+        # key must go; exponents of -1 only where the product by s meets them,
+        # since the product by h takes committed orders
+        lift = 0 if sign > 0 else 1
+        base = (2,) + (0,) * (m - 1)
+        gone = (2 + sign,) + base[1:]
+        p = {base: 3, gone: -3}
+        p[tuple((3 if k else -1) + lift for k in range(m))] = 5
+        p[tuple((5 if k == m - 1 else -1) + lift for k in range(m))] = -7
+        assert len(p) == 4
         top = max(map(sum, p))
+        w = series._x_width(top + 3, m)
         for cap in range(top - 2, top + 3):
-            assert series._times_unit_sum(p, sign, cap) == poly_mul(p, factor, cap)
-        assert units[0] not in series._times_unit_sum(p, sign, top)
-        assert series._times_unit_sum({}, sign, top) == {}
+            lim = cap + m + 1 << w * m
+            out = series._times_units(xpacked(p, w), sign, lim, m, w)
+            assert xunpacked(out, m, w) == poly_mul(p, factor, cap)
+        lim = top + m + 1 << w * m
+        assert series._xpack(gone, w) not in series._times_units(xpacked(p, w), sign, lim, m, w)
+        assert series._times_units({}, sign, lim, m, w) == {}
 
 
 class TestSubstitutePair:
@@ -385,6 +452,14 @@ class TestSubstitutePair:
         with pytest.raises(ValueError):
             substitute_pair({(0, 0): 1}, 1)
 
+    @pytest.mark.parametrize("m,N,W", [(3, 6, 14), (4, 5, 12)])
+    def test_packed_substitution_equals_substitute_pair(self, m, N, W):
+        w = series._x_width(W, m)
+        for p in x_series(m, N, W):
+            for j in range(2, m + 1):
+                out = series._x_substitute(xpacked(p, w), j, w)
+                assert xunpacked(out, m, w) == substitute_pair(p, j)
+
     def test_laurent_input_names_the_monomial(self):
         with pytest.raises(SeriesConsistencyError, match=r"\(2, -1, 0\)") as info:
             substitute_pair({(1, 0, 0): 3, (2, -1, 0): 1, (0, 0, -2): 5}, 2)
@@ -392,12 +467,17 @@ class TestSubstitutePair:
 
 
 class TestDivideByOnePlusQ:
+    W = 8  # above every test degree, so each packs
+
+    def quotient(self, G, m, cap):
+        w = series._x_width(self.W, m)
+        return xunpacked(series._over_one_plus_q(xpacked(G, w), cap + m + 1 << w * m, m, w), m, w)
+
     def test_m2_degree_2(self):
-        quotient = series._divide_by_one_plus_q({(0, 0): 1}, 2)
-        assert quotient == {(0, 0): 1, (0, 1): -1, (0, 2): 1}
+        assert self.quotient({(0, 0): 1}, 2, 2) == {(0, 0): 1, (0, 1): -1, (0, 2): 1}
 
     def test_m3_degree_1(self):
-        assert series._divide_by_one_plus_q({(0, 0, 0): 1}, 1) == {
+        assert self.quotient({(0, 0, 0): 1}, 3, 1) == {
             (0, 0, 0): 1,
             (0, 1, 0): -1,
             (0, 0, 1): -1,
@@ -421,7 +501,7 @@ class TestDivideByOnePlusQ:
         denom = {zero_mono(m): 1}
         for i in range(1, m):
             denom[tuple(1 if k == i else 0 for k in range(m))] = 1
-        quotient = series._divide_by_one_plus_q(G, cap)
+        quotient = self.quotient(G, m, cap)
         assert all(sum(e) <= cap and c for e, c in quotient.items())
         assert poly_mul(denom, quotient, cap) == truncate_total_degree(G, cap)
 
