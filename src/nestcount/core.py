@@ -6,8 +6,10 @@ position i holds the 1-based index of the block containing i, blocks numbered
 by first appearance. Its standard representation is the arc diagram joining
 consecutive elements of each block in numerical order; nesting and crossing
 statistics are read off that diagram. The oracle counts them in one walk
-over RGS prefixes that adds one arc per step; the per-diagram functions are
-the definitions that walk is tested against.
+over RGS prefixes that adds one arc per step and carries, per open block,
+its last element, the largest depth of an arc opening right of it and the
+patience tails of the arcs spanning it, so a step costs O(blocks); the
+per-diagram functions are the definitions that walk is tested against.
 
 Everything here is exhaustive-enumeration scale (Bell-number growth); the
 fast counting lives in `gtree` and `series`.
@@ -237,49 +239,47 @@ def _nesting_crossing_walk(n):
     """Counter of (max_nesting, max_crossing) over all partitions of [n], by
     one depth-first walk over restricted-growth prefixes.
 
-    The walk keeps the last element of each block and the closed arcs
-    (x, y, depth) in close order, and passes the running maxima (ne, cr)
-    down. Placing i as a singleton adds no arc; joining i to a block whose
-    last element is a closes the arc (a, i). Every earlier arc is closed by
-    then, so (a, i) is outermost in a nested chain of 1 + the largest depth
-    among arcs opening after a, and last in a crossing family of 1 + the
-    longest chain of arcs with x < a < y whose opens (in close order)
-    increase. Distinct arcs have distinct opens and distinct closes, and no
-    closed arc opens at a, the last element of its block, so no comparison
-    here needs a rule for ties.
+    Joining i to a block with last element a closes (a, i) after every arc
+    so far, so its depth is 1 + the largest depth of an arc opening right
+    of a, and its crossing number 1 + the longest chain of increasing
+    opens, in close order, of arcs spanning a. Each open block carries
+    (last, deep, tails): that largest depth for a = last (0 if none) and
+    the patience tails of those opens (tails[k]: least last open of an
+    increasing chain of k + 1), so a join reads deep + 1 and len(tails) + 1.
+    Every other last element l is < i, so the new arc spans l iff a < l
+    (a goes into l's tails) and opens right of l iff a > l (its depth into
+    l's deep); the joined block restarts as (i, 0, ()). Arcs close in
+    increasing order, so inserting each open as its arc closes builds the
+    tails a batch pass in close order would. No closed arc opens at a, the
+    last element of its block, and opens are distinct, so nothing ties.
+    The placements of n are counted without recursing.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
+    if n == 0:
+        return Counter({(0, 0): 1})
     counts = Counter()
-    last = []
-    arcs = []
 
-    def grow(i, ne, cr):
-        if i > n:
+    def grow(i, blocks, ne, cr):
+        if i == n:
             counts[ne, cr] += 1
+            for _, d, t in blocks:
+                d, c = d + 1, len(t) + 1
+                counts[d if d > ne else ne, c if c > cr else cr] += 1
             return
-        last.append(i)
-        grow(i + 1, ne, cr)
-        last.pop()
-        for b, a in enumerate(last):
-            depth = 0
-            tails = []  # tails[k]: least last open of an increasing chain of k + 1
-            for x, y, d in arcs:
-                if x > a:
-                    if d > depth:
-                        depth = d
-                elif x < a < y:
-                    k = bisect_left(tails, x)
-                    tails[k : k + 1] = [x]  # replace tails[k], or append
-            depth += 1
-            cross = len(tails) + 1
-            arcs.append((a, i, depth))
-            last[b] = i
-            grow(i + 1, depth if depth > ne else ne, cross if cross > cr else cr)
-            last[b] = a
-            arcs.pop()
+        grow(i + 1, blocks + [(i, 0, ())], ne, cr)
+        for a, d, t in blocks:
+            d, c = d + 1, len(t) + 1
+            kids = [(i, 0, ())]
+            for l, dl, tl in blocks:
+                if l < a:
+                    kids.append((l, d if d > dl else dl, tl))
+                elif l > a:
+                    k = bisect_left(tl, a)
+                    kids.append((l, dl, tl[:k] + (a,) + tl[k + 1 :]))
+            grow(i + 1, kids, d if d > ne else ne, c if c > cr else cr)
 
-    grow(1, 0, 0)
+    grow(1, [], 0, 0)
     return counts
 
 

@@ -1,3 +1,4 @@
+from bisect import bisect_left
 from collections import Counter
 from itertools import combinations
 
@@ -53,6 +54,58 @@ def joint_by_diagram(n):
     for p in enumerate_partitions(n):
         d = standard_representation(p)
         counts[(max_nesting(d), max_crossing(d))] += 1
+    return counts
+
+
+# Independent reference for the oracle's walk: the same prefix walk, but each
+# join rescans every closed arc instead of reading per-block state.
+def arc_scanning_walk(n):
+    """Counter of (max_nesting, max_crossing) over all partitions of [n], by
+    one depth-first walk over restricted-growth prefixes.
+
+    The walk keeps the last element of each block and the closed arcs
+    (x, y, depth) in close order, and passes the running maxima (ne, cr)
+    down. Placing i as a singleton adds no arc; joining i to a block whose
+    last element is a closes the arc (a, i). Every earlier arc is closed by
+    then, so (a, i) is outermost in a nested chain of 1 + the largest depth
+    among arcs opening after a, and last in a crossing family of 1 + the
+    longest chain of arcs with x < a < y whose opens (in close order)
+    increase. Distinct arcs have distinct opens and distinct closes, and no
+    closed arc opens at a, the last element of its block, so no comparison
+    here needs a rule for ties.
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    counts = Counter()
+    last = []
+    arcs = []
+
+    def grow(i, ne, cr):
+        if i > n:
+            counts[ne, cr] += 1
+            return
+        last.append(i)
+        grow(i + 1, ne, cr)
+        last.pop()
+        for b, a in enumerate(last):
+            depth = 0
+            tails = []  # tails[k]: least last open of an increasing chain of k + 1
+            for x, y, d in arcs:
+                if x > a:
+                    if d > depth:
+                        depth = d
+                elif x < a < y:
+                    k = bisect_left(tails, x)
+                    tails[k : k + 1] = [x]  # replace tails[k], or append
+            depth += 1
+            cross = len(tails) + 1
+            arcs.append((a, i, depth))
+            last[b] = i
+            grow(i + 1, depth if depth > ne else ne, cross if cross > cr else cr)
+            last[b] = a
+            arcs.pop()
+
+    grow(1, 0, 0)
     return counts
 
 
@@ -237,6 +290,32 @@ class TestCounts:
         for m in range(n + 1):
             assert count_nonnesting(n, m) == sum(c for (ne, _), c in want.items() if ne <= m)
             assert count_noncrossing(n, m) == sum(c for (_, cr), c in want.items() if cr <= m)
+
+    @pytest.mark.parametrize("n", range(11))
+    def test_walk_equals_arc_scanning_reference(self, n):
+        assert core.joint_nesting_crossing(n) == dict(arc_scanning_walk(n))
+
+    @pytest.mark.parametrize("n", range(12))
+    def test_walk_total_is_bell_and_marginals_agree(self, n):
+        nesting, crossing = Counter(), Counter()
+        for (ne, cr), c in core.joint_nesting_crossing(n).items():
+            nesting[ne] += c
+            crossing[cr] += c
+        assert sum(nesting.values()) == bell_numbers(11)[n]
+        assert nesting == crossing
+
+    def test_patience_inserts_never_tie(self, monkeypatch):
+        # No closed arc opens at a join's left end a, so a is never in the
+        # tails it goes into and bisect_left and bisect_right agree.
+        ties = []
+
+        def checked(tails, a):
+            ties.append(a in tails)
+            return bisect_left(tails, a)
+
+        monkeypatch.setattr(core, "bisect_left", checked)
+        assert core.joint_nesting_crossing(8) == dict(arc_scanning_walk(8))
+        assert ties and not any(ties)
 
     def test_empty_partition_stats(self):
         assert core.joint_nesting_crossing(0) == {(0, 0): 1}
