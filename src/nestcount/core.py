@@ -283,24 +283,27 @@ def _nesting_crossing_walk(n):
     return counts
 
 
-def _marginal(n, side):
-    """Counter of one side (0 nesting, 1 crossing) of the walk's pairs."""
-    out = Counter()
-    for pair, c in _nesting_crossing_walk(n).items():
-        out[pair[side]] += c
-    return out
+@lru_cache(maxsize=None)
+def _marginals(n):
+    """Counters of max_nesting and of max_crossing over all partitions of
+    [n], both from one walk."""
+    nesting, crossing = Counter(), Counter()
+    for (ne, cr), c in _nesting_crossing_walk(n).items():
+        nesting[ne] += c
+        crossing[cr] += c
+    return nesting, crossing
 
 
 @lru_cache(maxsize=None)
 def _nesting_profile(n):
     """Counter of max_nesting over all partitions of [n]."""
-    return _marginal(n, 0)
+    return _marginals(n)[0]
 
 
 @lru_cache(maxsize=None)
 def _crossing_profile(n):
     """Counter of max_crossing over all partitions of [n]."""
-    return _marginal(n, 1)
+    return _marginals(n)[1]
 
 
 def count_nonnesting(n: int, m: int, limit: int = ORACLE_LIMIT) -> int:

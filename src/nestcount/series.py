@@ -23,40 +23,39 @@ with exact integer coefficients.
   with s = 1+x_1+..+x_m and h = 1 + 1/x_1 + .. + 1/x_m. Each right-hand
   term but s carries a factor t, so one forward sweep from F_0 = s builds
   t-order k+1 from t-order k alone, once.
-  With q = x_2+..+x_m, s - x_1 = 1 + q, so s/(s-x_1) = 1 + x_1/(1+q) and
-  the kernel term is G/x_1 + G/(1+q) with G = F(0,x_2,..,x_m;t). The
-  quotient Q = G/(1+q) is exact: forward substitution on total degree,
-  Q_d = G_d - q*Q_{d-1}, stopped at the order's degree cap. The products by
-  h and s are sums of m + 1 shifted copies: the input and, for each i, the
-  input with x_i's exponent moved by -1 (for h) or +1 (for s). States are
-  kept finite by a grading: a monomial at t-order k is retained iff its
-  total x-degree is <= W - k. Every right-hand operator moves a monomial of
-  weight degree + order to monomials of no lower weight (divisions by a
-  single x cost one degree but always ride a factor of t), so the grading
-  is closed under the sweep; `x_engine(..., check_stable=True)` confirms the
-  counts are unchanged under a doubled bound.
+  With q = x_2+..+x_m and G = F(0,x_2,..,x_m;t), s/(s-x_1) = 1 + x_1/(1+q)
+  and each 1/x_j of h pairs with a kernel term, so a step is
+      s * (F - G/(1+q) + sum_{j=1..m} (F - F(.., x_{j-1}+x_j, 0, ..))/x_j)
+  with x_0 := 0. Each divided difference drops the x_j-free part of F
+  before it divides by x_j, so no key the step forms has a negative
+  exponent. G/(1+q) is exact: Q_d = G_d - q*Q_{d-1} by total degree, up to
+  the order's degree cap. The product by s is the input plus its m copies
+  with one x_i exponent raised. States are kept finite by a grading: a
+  monomial at t-order k is retained iff its total x-degree is <= W - k.
+  Every right-hand operator moves a monomial of weight degree + order to
+  monomials of no lower weight (a division by x_j costs one degree but
+  always rides a factor of t), so the grading is closed under the sweep;
+  `x_engine(..., check_stable=True)` confirms the counts are unchanged
+  under a doubled bound.
   Inside the engine a monomial x^e is one int K: field i < m (bits w*i ..
-  w*i + w - 1) holds e_i + 1, so an exponent of -1 is a field of 0, and the
-  top field (from bit w*m) holds the degree + m. With U_i = (1 << w*i) +
-  (1 << w*m), a product by x_i^(+-1) is K +- U_i, degree <= d is
-  K < (d + m + 1) << w*m, x_1-free is K & (2^w - 1) == 1, and substitution j
-  moves a key by (1 << w*(j-1)) - (1 << w*(j-2)) per unit moved from x_{j-1}
-  to x_j. No subtraction borrows: committed fields are >= 1 (F_0's, and the
-  guard checks each new order), the product by h and the divisions by x_1
-  and x_j take one unit from a field, the substitution takes i <= a from a
-  field holding a + 1 (its division by x_j one of the i + 1 the next field
-  then holds), and the rest only add; so the low fields are >= 0 and sum to
-  the top one. No field overflows: every key formed has degree <= W (the
-  products and the quotient stop at the cap W - k - 1, the substitution
-  keeps F_k's degree <= W - k), so a field is <= W + m < 2^(w-1) for
-  w = (W + m).bit_length() + 1. Each field's top bit is thus spare, and the
-  guard adds 2^(w-1) - 1 to every field: all m spare bits are then set iff
+  w*i + w - 1) holds e_i + 1, and the top field (from bit w*m) holds the
+  degree + m. With U_i = (1 << w*i) + (1 << w*m), a product by x_i^(+-1) is
+  K +- U_i, degree <= d is K < (d + m + 1) << w*m, and x_j-free is field
+  j-1 == 1. No subtraction borrows: committed fields are >= 1 (F_0's, and
+  the guard checks each new order), and a divided difference takes one
+  unit from a field >= 2, or i <= a units from a field holding a + 1 and
+  one of the i + 1 the next field then holds; so every field formed is
+  >= 1 and the low fields sum to the top one. The offset keeps the guard
+  sound: a wrong division shows as a field of 0, not as a borrow from the
+  next field. No field overflows: every key formed has degree <= W, so a
+  field is <= W + m < 2^(w-1) for w = (W + m).bit_length() + 1. The guard
+  adds 2^(w-1) - 1 to every field: all m spare top bits are then set iff
   no field is 0. `x_series` unpacks each order as it is built, sharing one
   exponent tuple per key across orders.
 
-Coefficients of committed states are non-negative integers. Intermediates
-of the x-engine may carry an exponent of -1 per variable; one surviving into
-a committed state raises SeriesConsistencyError.
+Coefficients of committed states are non-negative integers, and no x-engine
+key has a negative exponent; the guard checks each committed order, where an
+exponent of -1 raises SeriesConsistencyError.
 """
 
 from __future__ import annotations
@@ -264,16 +263,14 @@ def _first_negative(keys, m, w):
     return next((K for K in keys if K + fill & spare != spare), None)
 
 
-def _times_units(p, sign, lim, m, w):
-    """p * (1 + x_1^sign + .. + x_m^sign) on packed keys below lim, sign = +-1:
-    p plus its m copies moved by sign * (unit of field i + unit of the degree).
-    Zero coefficients of p (most of the kernel step's at m = 5) are skipped."""
+def _times_units(p, lim, m, w):
+    """p * s = p * (1 + x_1 + .. + x_m) on packed keys below lim: p plus its m
+    copies moved up by a unit of field i and of the degree."""
     top = 1 << w * m
-    out = defaultdict(int, {K: c for K, c in p.items() if c and K < lim})
-    bound = lim - sign * top
-    shifted = [(K, c) for K, c in p.items() if c and K < bound]
+    out = defaultdict(int, {K: c for K, c in p.items() if K < lim})
+    shifted = [(K, c) for K, c in p.items() if K < lim - top]
     for i in range(m):
-        d = sign * ((1 << w * i) + top)
+        d = (1 << w * i) + top
         for K, c in shifted:
             out[K + d] += c
     return {K: c for K, c in out.items() if c}
@@ -303,41 +300,39 @@ def _over_one_plus_q(G, lim, m, w):
     return out
 
 
-def _x_substitute(p, j, w):
-    """`substitute_pair` on packed keys of a true polynomial: an x_j-free key
-    with x_{j-1}^a moves by i units from field j-2 to field j-1, coefficient
-    C(a, i). No two keys meet: fields j-2 and j-1 of an image sum to a + 2."""
+def _divided_difference(p, j, acc, w, top):
+    """Add (p - p(.., x_{j-1} + x_j, 0, ..)) / x_j, x_0 := 0, into acc, for a
+    true polynomial p on packed keys, 1 <= j <= m and top the degree's unit.
+    A key with e_j >= 1 moves down one unit of field j-1 and of the degree;
+    an x_j-free key with x_{j-1}^a adds -C(a, i) x_{j-1}^(a-i) x_j^(i-1),
+    i = 1..a (the difference cancels its i = 0 term, the key itself)."""
     mask = (1 << w) - 1
-    lo, hi = w * (j - 2), w * (j - 1)
-    move = (1 << hi) - (1 << lo)
-    out = {}
+    hi, lo = w * (j - 1), w * (j - 2)
+    down = (1 << hi) + top
+    move = (1 << hi) - (1 << lo) if j > 1 else 0
     for K, c in p.items():
-        if K >> hi & mask == 1:
+        if K >> hi & mask > 1:
+            acc[K - down] += c
+        elif j > 1:
             a = (K >> lo & mask) - 1
-            for i in range(a + 1):
-                out[K + i * move] = c * comb(a, i)
-    return out
-
-
-def _subtract(acc, p, d):
-    """acc -= p with every key moved by d."""
-    for K, c in p.items():
-        acc[K + d] -= c
+            for i in range(1, a + 1):
+                acc[K + i * move - down] -= c * comb(a, i)
 
 
 def _x_step(F, k, m, W):
     """t-order k+1 of the right-hand side from the final t-order k of F, both
-    on packed keys; s/(s - x_1) is taken as the module docstring says."""
+    on packed keys: s * (F - G/(1 + q) + the m divided differences), as the
+    module docstring says."""
     w = _x_width(W, m)
     top = 1 << w * m
     lim = W - k + m << w * m  # total degree <= W - (k + 1)
     G = {K: c for K, c in F.items() if K & (1 << w) - 1 == 1}
-    acc = defaultdict(int, _times_units(F, -1, lim, m, w))
-    _subtract(acc, G, -1 - top)  # G / x_1
-    _subtract(acc, _over_one_plus_q(G, lim, m, w), 0)
-    for j in range(2, m + 1):
-        _subtract(acc, _x_substitute(F, j, w), -(1 << w * (j - 1)) - top)  # / x_j
-    out = _times_units(acc, 1, lim, m, w)
+    acc = defaultdict(int, {K: c for K, c in F.items() if K < lim})
+    for K, c in _over_one_plus_q(G, lim, m, w).items():
+        acc[K] -= c
+    for j in range(1, m + 1):
+        _divided_difference(F, j, acc, w, top)
+    out = _times_units(acc, lim, m, w)
     bad = _first_negative(out, m, w)
     if bad is not None:
         raise SeriesConsistencyError(f"negative exponent survived in {_xunpack([bad], m, w)[0]}")

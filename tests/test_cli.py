@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from nestcount import __version__, series
+from nestcount import __version__, core, series
 from nestcount.cli import main
 
 
@@ -183,6 +183,22 @@ class TestVerify:
             capsys, "verify", "--suite", "equidistribution", "-m", "2", "-n", "7",
         )
         assert code == 0
+
+    def test_equidistribution_walks_each_size_once(self, capsys, monkeypatch):
+        # the nesting and crossing profiles of a size share one walk
+        for cache in (core._marginals, core._nesting_profile, core._crossing_profile):
+            cache.cache_clear()
+        sizes = []
+        walk = core._nesting_crossing_walk
+
+        def counted(n):
+            sizes.append(n)
+            return walk(n)
+
+        monkeypatch.setattr(core, "_nesting_crossing_walk", counted)
+        code, out = run_cli(capsys, "verify", "--suite", "equidistribution", "-m", "4", "--terms", "8")
+        assert code == 0 and "FAIL" not in out
+        assert sorted(sizes) == list(range(9))
 
     def test_labels_suite(self, capsys):
         code, out = run_cli(capsys, "verify", "--suite", "labels", "-m", "2", "-n", "6")

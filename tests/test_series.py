@@ -1,3 +1,4 @@
+from collections import defaultdict
 from itertools import product
 
 import pytest
@@ -292,27 +293,30 @@ class TestXEngine:
     @pytest.mark.parametrize(
         "helper,call,bad,named",
         [
-            # an extra x_2-free image, left with x_2^-1 by the division by x_2
-            # and too large for any term of the order to cancel; at m = 2 the
-            # substitution runs once per step, so call 3 is t-order 3
-            ("_x_substitute", 3, {(1, 0): 10**30}, r"\([12], -1\)"),
-            # a term no other term of the order can cancel; the products run
-            # twice per step, so call 6 is t-order 3's product by s
-            ("_times_units", 6, {(-1, 0): 10**30}, r"\(-1, 0\)"),
+            # an x_2^-1 term added to the accumulator, too large for any term
+            # of the order to cancel; at m = 2 the difference runs twice per
+            # step (j = 1, 2), so call 6 is t-order 3's
+            ("_divided_difference", 6, {(1, -1): 10**30}, r"\([12], -1\)"),
+            # a term no other term of the order can cancel; the product by s
+            # runs once per step, so call 3 is t-order 3's
+            ("_times_units", 3, {(-1, 0): 10**30}, r"\(-1, 0\)"),
         ],
-        ids=["x_substitute", "times_units"],
+        ids=["divided_difference", "times_units"],
     )
     def test_consistency_error_names_engine_m_and_order(
         self, monkeypatch, helper, call, bad, named
     ):
         calls = []
         real = getattr(series, helper)
+        w = series._x_width(5, 2)
 
         def corrupt(*args):
             calls.append(None)
             out = real(*args)
-            w = args[-1]
-            return {**out, **xpacked(bad, w)} if len(calls) == call else out
+            if len(calls) == call:
+                # the difference adds into its accumulator argument
+                (args[2] if out is None else out).update(xpacked(bad, w))
+            return out
 
         monkeypatch.setattr(series, helper, corrupt)
         with pytest.raises(SeriesConsistencyError, match=named) as info:
@@ -321,6 +325,23 @@ class TestXEngine:
         for field in ("x-engine", "m=2", "t-order 3"):
             assert field in msg
         assert isinstance(info.value.__cause__, SeriesConsistencyError)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_no_negative_key_reaches_the_product_by_s(self, monkeypatch, m):
+        # the divided differences drop each x_j-free part before dividing by
+        # x_j, so not even a cancelled term with an exponent of -1 is formed
+        found = []
+        real = series._times_units
+
+        def checked(p, *args):
+            found.append(series._first_negative(p, *args[-2:]))
+            return real(p, *args)
+
+        monkeypatch.setattr(series, "_times_units", checked)
+        for N in range(9):
+            for W in (N, 2 * N + 2):
+                x_series(m, N, W)
+        assert found and found == [None] * len(found)
 
     def test_unstable_order_is_named(self, monkeypatch):
         calls = []
@@ -406,29 +427,45 @@ class TestPackedKeys:
 
 class TestTimesUnitSum:
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
-    @pytest.mark.parametrize("sign", [-1, 1])
-    def test_equals_poly_mul(self, m, sign):
-        units = [tuple(sign if k == i else 0 for k in range(m)) for i in range(m)]
+    def test_equals_poly_mul(self, m):
+        units = [tuple(1 if k == i else 0 for k in range(m)) for i in range(m)]
         factor = {zero_mono(m): 1, **{e: 1 for e in units}}
-        # the copy of 3 x_1^2 shifted by x_1^sign cancels -3 x_1^(2 + sign), whose
-        # key must go; exponents of -1 only where the product by s meets them,
-        # since the product by h takes committed orders
-        lift = 0 if sign > 0 else 1
+        # the copy of 3 x_1^2 shifted by x_1 cancels -3 x_1^3, whose key must go
         base = (2,) + (0,) * (m - 1)
-        gone = (2 + sign,) + base[1:]
+        gone = (3,) + base[1:]
         p = {base: 3, gone: -3}
-        p[tuple((3 if k else -1) + lift for k in range(m))] = 5
-        p[tuple((5 if k == m - 1 else -1) + lift for k in range(m))] = -7
+        p[tuple(3 if k else 0 for k in range(m))] = 5
+        p[tuple(5 if k == m - 1 else 0 for k in range(m))] = -7
         assert len(p) == 4
         top = max(map(sum, p))
         w = series._x_width(top + 3, m)
         for cap in range(top - 2, top + 3):
             lim = cap + m + 1 << w * m
-            out = series._times_units(xpacked(p, w), sign, lim, m, w)
+            out = series._times_units(xpacked(p, w), lim, m, w)
             assert xunpacked(out, m, w) == poly_mul(p, factor, cap)
         lim = top + m + 1 << w * m
-        assert series._xpack(gone, w) not in series._times_units(xpacked(p, w), sign, lim, m, w)
-        assert series._times_units({}, sign, lim, m, w) == {}
+        assert series._xpack(gone, w) not in series._times_units(xpacked(p, w), lim, m, w)
+        assert series._times_units({}, lim, m, w) == {}
+
+
+class TestDividedDifference:
+    @staticmethod
+    def reference(p, j):
+        """(p - p(.., x_{j-1} + x_j, 0, ..)) / x_j with x_0 := 0, on tuples."""
+        image = substitute_pair(p, j) if j > 1 else {e: c for e, c in p.items() if e[0] == 0}
+        diff = poly_sub(p, image)
+        return {e[: j - 1] + (e[j - 1] - 1,) + e[j:]: c for e, c in diff.items()}
+
+    @pytest.mark.parametrize("m,N,W", [(1, 6, 14), (3, 6, 14), (4, 5, 12)])
+    def test_equals_tuple_reference(self, m, N, W):
+        w = series._x_width(W, m)
+        for p in x_series(m, N, W):
+            for j in range(1, m + 1):
+                acc = defaultdict(int)
+                series._divided_difference(xpacked(p, w), j, acc, w, 1 << w * m)
+                want = self.reference(p, j)
+                assert all(min(e) >= 0 for e in want)
+                assert xunpacked({K: c for K, c in acc.items() if c}, m, w) == want
 
 
 class TestSubstitutePair:
@@ -451,14 +488,6 @@ class TestSubstitutePair:
     def test_rejects_bad_index(self):
         with pytest.raises(ValueError):
             substitute_pair({(0, 0): 1}, 1)
-
-    @pytest.mark.parametrize("m,N,W", [(3, 6, 14), (4, 5, 12)])
-    def test_packed_substitution_equals_substitute_pair(self, m, N, W):
-        w = series._x_width(W, m)
-        for p in x_series(m, N, W):
-            for j in range(2, m + 1):
-                out = series._x_substitute(xpacked(p, w), j, w)
-                assert xunpacked(out, m, w) == substitute_pair(p, j)
 
     def test_laurent_input_names_the_monomial(self):
         with pytest.raises(SeriesConsistencyError, match=r"\(2, -1, 0\)") as info:
