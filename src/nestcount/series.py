@@ -6,15 +6,28 @@ with exact integer coefficients.
 * The u-engine iterates the label generating function order by order in t:
   P_{n+1} is P_n (a polynomial in u_1..u_m) times u_1..u_m plus, for each
   u_j, the exact quotient of P_n - P_n|merge by u_j - 1 times u_1..u_j,
-  built in one pass over P_n and added straight into P_{n+1}.
+  added straight into P_{n+1}. The merge sets u_j's exponent to a, u_{j-1}'s
+  (1 for j = 1), so in each group of P_n's keys that differ only in u_j the
+  quotient is a synthetic division: its u_j^(k-1) coefficient, for k > a,
+  is the sum of the group's coefficients at exponents k and up. The step
+  reads each group in place in P_n: it sorts P_n's keys once, maps each
+  group to its largest key, and walks from that top key down one exponent
+  of u_j at a time to a, adding each present coefficient into a running
+  sum (an absent exponent is a gap) and the sum into P_{n+1}. Labels are
+  weakly increasing, so every key of P_n is walked or sits at a; the step
+  counts both and raises if a key is missed, and raises at once for a
+  group whose top key lies below a.
   Inside the engine a monomial u^e is one int holding e_i in bits
-  w*(i-1) .. w*i - 1, with w = (N + 1).bit_length(). No field overflows:
-  an exponent of P_n is at most n + 1 <= N + 1 < 2^w, the shift and the
-  quotient's u_1..u_{j-1} factor raise an exponent of P_{n-1} (at most n)
-  by one, and the quotient's u_j exponent lies between two of P_{n-1}'s.
+  w*(i-1) .. w*i - 1, with w = (N + 1).bit_length(). No field overflows
+  or borrows: an exponent of P_n is at most n + 1 <= N + 1 < 2^w, the shift
+  and the quotient's u_1..u_{j-1} factor raise one of P_n's exponents by
+  one, and a walked key's u_j exponent lies between its top key's and a,
+  both exponents of P_n and so between 1 and n + 1.
   So the shift adds one constant, a group's rest clears one field, and the
-  quotient's keys step down by 1 << w*(j-1). `u_series` unpacks each order
-  into exponent tuples.
+  walk steps down by 1 << w*(j-1). No entry of P_{n+1} cancels to 0: P_n's
+  coefficients are positive, so every running sum is > 0 once the top key
+  is read, and the step only adds. `u_series` unpacks each order into
+  exponent tuples.
 
 * The x-engine solves the rearranged kernel-form equation
       F = s + s*t*h*F
@@ -85,68 +98,53 @@ def _unpack(K, m, w):
     return tuple((K >> w * i) & mask for i in range(m))
 
 
-def _merge_pair(p, j, w):
-    """p - p|merge for 1-based j, grouped as {rest: {exponent of u_j: coeff}},
-    rest being the packed key with u_j's field cleared. The merge sets u_j's
-    exponent to u_{j-1}'s, or to 1 for j = 1, so it is one -sum entry per group."""
-    s = w * (j - 1)
-    mask = (1 << w) - 1
-    groups = {}
-    for K, c in p.items():
-        b = (K >> s) & mask
-        if b == ((K >> (s - w)) & mask if j > 1 else 1):
-            continue
-        rest = K - (b << s)
-        g = groups.get(rest)
-        if g is None:
-            groups[rest] = {b: c}
-        else:
-            g[b] = c
-    for rest, g in groups.items():
-        g[(rest >> (s - w)) & mask if j > 1 else 1] = -sum(g.values())
-    return groups
+def _merge_pair(keys, j, w):
+    """The groups of p - p|merge for 1-based j, as {rest: top}: rest clears
+    u_j's field, and top is the last of keys (p's, sorted) that clears to it."""
+    clear = ~(((1 << w) - 1) << w * (j - 1))
+    return {K & clear: K for K in keys}
 
 
-def _divide_by_var_minus_one(groups, var, out, m, w):
-    """Add the exact quotient by (u_var - 1), times u_1 .. u_{var+1}, into out
-    (var 0-based; groups as `_merge_pair` returns them).
-
-    Synthetic division per group: q_k = sum_{i>k} c_i, with remainder
-    sum_i c_i, which must vanish (the functional equation guarantees
-    divisibility; a nonzero remainder is a bug). Labels are weakly
-    increasing, so no exponent of u_{var+1} lies below the merge exponent.
-    """
+def _divide_by_var_minus_one(p, tops, var, out, m, w):
+    """Add the exact quotient of p - p|merge by u_{var+1} - 1, times u_1 ..
+    u_{var+1}, into out (var 0-based), walking each group of tops from its
+    top key down to its merge exponent a, as the module docstring says."""
     s = w * var
     step = 1 << s
     mask = (1 << w) - 1
     low = (step - 1) // mask  # u_1 .. u_var
-    for rest, coeffs in groups.items():
-        remainder = sum(coeffs.values())
-        if remainder:
-            monomials = [_unpack(rest + (k << s), m, w) for k in sorted(coeffs)]
+    clear = ~(mask << s)
+    # a group's key at a is rest + a(rest): a is u_var's exponent, or 1
+    prev, first = (mask << s - w, 0) if var else (0, 1)
+    get = p.get
+    seen = 0
+    for rest, top in tops.items():
+        base = rest + ((rest & prev) << w | first)
+        if top < base:
             raise SeriesConsistencyError(
-                f"nonzero remainder {remainder} dividing by u_{var + 1} - 1, "
-                f"in the group of exponents {monomials}"
+                f"exponent {(top >> s) & mask} of u_{var + 1} below the merge exponent "
+                f"{(base >> s) & mask}, dividing by u_{var + 1} - 1, "
+                f"in the monomial {_unpack(top, m, w)}"
             )
-        lo = min(coeffs)
-        merged = (rest >> (s - w)) & mask if var else 1
-        if lo < merged:
-            raise SeriesConsistencyError(
-                f"exponent {lo} of u_{var + 1} below the merge exponent {merged}, "
-                f"in the monomial {_unpack(rest + (lo << s), m, w)}"
-            )
-        hi = max(coeffs)
-        key = rest + low + (hi << s)
         running = 0
-        for k in range(hi, lo, -1):
-            running += coeffs.get(k, 0)
-            if running:
-                t = out.get(key, 0) + running
-                if t:
-                    out[key] = t
-                else:
-                    del out[key]
-            key -= step
+        for key in range(top, base, -step):
+            c = get(key)
+            if c:
+                running += c
+                seen += 1
+            dest = key + low
+            out[dest] = out.get(dest, 0) + running
+        seen += base in p
+    if seen != len(p):
+        missed = [
+            _unpack(K, m, w)
+            for K in sorted(p)
+            if not (K & clear) + ((K & prev) << w | first) <= K <= tops.get(K & clear, -1)
+        ]
+        raise SeriesConsistencyError(
+            f"{seen} of {len(p)} monomials walked or at the merge exponent, dividing by "
+            f"u_{var + 1} - 1; not walked: {missed}"
+        )
 
 
 def _shift(p, ones):
@@ -156,8 +154,9 @@ def _shift(p, ones):
 
 def _u_step(p, m, w):
     new = _shift(p, _pack((1,) * m, w))
+    keys = sorted(p)
     for j in range(1, m + 1):
-        _divide_by_var_minus_one(_merge_pair(p, j, w), j - 1, new, m, w)
+        _divide_by_var_minus_one(p, _merge_pair(keys, j, w), j - 1, new, m, w)
     return new
 
 

@@ -156,52 +156,98 @@ class TestUEngine:
     def test_fused_step_equals_unfused_chain(self, m, N):
         assert u_series(m, N) == u_series_by_chain(m, N)
 
-    def test_division_adds_shifted_quotient(self):
-        # (u_1^3 - u_1) / (u_1 - 1) * u_1 = u_1^3 + u_1^2, at u_2's exponent 2;
-        # the u_1^3 term cancels what out already holds there
-        w = 3
-        out = packed({(3, 2): -1, (1, 1): 5}, w)
-        series._divide_by_var_minus_one({pack((0, 2), w): {3: 1, 1: -1}}, 0, out, 2, w)
-        assert out == packed({(2, 2): 1, (1, 1): 5}, w)
+    @staticmethod
+    def divide(p, var, out, m, w):
+        """One pass of the fused step over the exponent tuples p, into out."""
+        p, out = packed(p, w), packed(out, w)
+        tops = series._merge_pair(sorted(p), var + 1, w)
+        series._divide_by_var_minus_one(p, tops, var, out, m, w)
+        return unpacked(out, m, w)
 
-    def test_division_rejects_nonzero_remainder(self):
-        with pytest.raises(SeriesConsistencyError, match="nonzero remainder"):
-            series._divide_by_var_minus_one({pack((0, 0), 3): {1: 1, 0: 1}}, 0, {}, 2, 3)
+    def test_division_adds_shifted_quotient(self):
+        # u_1 = 1 merges u_1^3 u_2^2 into u_1 u_2^2: (u_1^3 - u_1) / (u_1 - 1) * u_1
+        # = u_1^3 + u_1^2, at u_2's exponent 2; u_1^2 is read at the gap u_1^2 u_2^2
+        out = self.divide({(3, 2): 1}, 0, {(3, 2): 4, (1, 1): 5}, 2, 3)
+        assert out == {(3, 2): 5, (2, 2): 1, (1, 1): 5}
+        # u_2 = u_1 merges 2 u_1 u_2^3 into 2 u_1 u_2; the quotient 2 u_2^2 + 2 u_2
+        # is times u_1 u_2; u_1 u_2 sits at the merge exponent and adds nothing
+        out = self.divide({(1, 3): 2, (1, 1): 7}, 1, {}, 2, 3)
+        assert out == {(2, 3): 2, (2, 2): 2}
+
+    def test_division_rejects_unwalked_key(self):
+        # a group left out of the tops is never walked, so the count comes up short
+        p = packed({(1, 1): 1, (2, 3): 1}, 3)
+        tops = {pack((1, 0), 3): pack((1, 1), 3)}
+        with pytest.raises(SeriesConsistencyError, match=r"1 of 2 .* not walked: \[\(2, 3\)\]"):
+            series._divide_by_var_minus_one(p, tops, 1, {}, 2, 3)
 
     def test_dropped_merge_term_is_caught(self, monkeypatch):
         merge = series._merge_pair
 
-        def drop_one_minus_c(p, j, w):
-            groups = merge(p, j, w)
-            for K, c in p.items():
-                e = series._unpack(K, 2, w)
-                a = e[j - 2] if j > 1 else 1
-                if a != e[j - 1]:
-                    g = groups[pack(e[: j - 1] + (0,) + e[j:], w)]
-                    g[a] += c
+        def drop_one_top(keys, j, w):
+            # the first group that walks a step loses its top key
+            tops = merge(keys, j, w)
+            for rest, top in tops.items():
+                e = series._unpack(top, 2, w)
+                if e[j - 1] > (e[j - 2] if j > 1 else 1):
+                    tops[rest] = top - (1 << w * (j - 1))
                     break
-            return groups
+            return tops
 
-        monkeypatch.setattr(series, "_merge_pair", drop_one_minus_c)
-        with pytest.raises(SeriesConsistencyError):
+        monkeypatch.setattr(series, "_merge_pair", drop_one_top)
+        with pytest.raises(SeriesConsistencyError, match=r"not walked: \[\(2, 2\)\]"):
             u_series(2, 3)
 
     def test_consistency_error_names_engine_order_and_group(self, monkeypatch):
         P2 = u_series(2, 2)[2]
         merge = series._merge_pair
 
-        def corrupt_order_3_in_u2(p, j, w):
-            groups = merge(p, j, w)
-            if j == 2 and unpacked(p, 2, w) == P2:
-                groups[pack((7, 0), w)] = {4: 1, 9: 1}
-            return groups
+        def corrupt_order_3_in_u2(keys, j, w):
+            tops = merge(keys, j, w)
+            if j == 2 and {series._unpack(K, 2, w) for K in keys} == set(P2):
+                tops[pack((7, 0), w)] = pack((7, 4), w)
+            return tops
 
         monkeypatch.setattr(series, "_merge_pair", corrupt_order_3_in_u2)
         with pytest.raises(SeriesConsistencyError) as info:
-            u_series(2, 7)  # N = 7 packs 4-bit fields, wide enough for u_2^9
+            u_series(2, 7)  # N = 7 packs 4-bit fields
         msg = str(info.value)
-        for field in ("u-engine", "m=2", "t-order 3", "u_2 - 1", "[(7, 4), (7, 9)]"):
+        for field in ("u-engine", "m=2", "t-order 3", "u_2 - 1", "merge exponent 7", "(7, 4)"):
             assert field in msg
+
+    def test_walk_crosses_gaps(self):
+        # a group's exponents of u_j between the merge exponent and its top
+        # key need not all be present; the walk steps over each absent one
+        m, N = 3, 8
+        P = u_series(m, N)
+        gaps = 0
+        for p in P[:-1]:
+            for j in range(1, m + 1):
+                groups = defaultdict(set)
+                for e in p:
+                    groups[e[: j - 1] + e[j:]].add(e)
+                for es in groups.values():
+                    a = next(iter(es))[j - 2] if j > 1 else 1
+                    present = {e[j - 1] for e in es}
+                    gaps += sum(k not in present for k in range(a + 1, max(present)))
+        assert gaps >= 1  # 53 here
+        assert P == u_series_by_chain(m, N)
+        assert P == [ms.counts for ms in gtree.levels(m, N)]
+
+    @pytest.mark.parametrize(
+        "labels,named",
+        [
+            # u_1^3 u_2^2 is alone in its u_2-group: its top key lies below a = 3
+            ([(1, 1), (3, 2)], r"exponent 2 of u_2 below the merge exponent 3, .*\(3, 2\)"),
+            # u_1^3 u_2^2 lies under its group's top key u_1^3 u_2^4: the walk
+            # from the top stops at a = 3 and never reads it
+            ([(1, 1), (3, 2), (3, 4)], r"u_2 - 1; not walked: \[\(3, 2\)\]"),
+        ],
+        ids=["top_key", "under_top_key"],
+    )
+    def test_step_rejects_key_below_merge_exponent(self, labels, named):
+        with pytest.raises(SeriesConsistencyError, match=named):
+            series._u_step({pack(e, 3): 1 for e in labels}, 2, 3)
 
     def test_step_rejects_out_of_order_label(self):
         # a_1 = 3 > a_2 = 2 is no label; its merge in u_2 would divide into a
