@@ -82,7 +82,8 @@ class TestLevels:
         assert ms.level == 1 and ms.counts == {(2, 2, 2): 1}
 
     def test_depth_one_m1_node(self):
-        ms = gtree.LabelMultiset(1, 1, {(): [0, 1]})  # label (2,), count 1
+        w = gtree._W0
+        ms = gtree.LabelMultiset(1, 1, {(): 1 << w}, w)  # label (2,), count 1
         assert gtree.next_level(ms).counts == {(3,): 1, (2,): 1}
 
     def test_level_three_m2_matches_oracle_then_total_15(self):
@@ -122,6 +123,26 @@ class TestLevels:
             assert 0 not in ms.counts.values()
             assert ms.total() == sum(want.values())
             want = next_counts_by_label(m, want)
+
+    def test_width_holds_a_total_at_its_bound(self):
+        # (4,) at level 3 has 4 children, so total(4) = 4 * total(3) = 2^8:
+        # the next total meets the width bound (n + 1) * total(n) exactly.
+        ms = gtree.LabelMultiset(1, 3, {(): 64 << 24}, 8)
+        nxt = gtree.next_level(ms)
+        assert nxt.counts == {(5,): 64, (2,): 64, (3,): 64, (4,): 64}
+        assert nxt.total() == 256 and nxt.w > 8
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_widened_rows_equal_label_keyed_levels(self, monkeypatch, m):
+        monkeypatch.setattr(gtree, "_W0", 8)  # one byte: the smallest width
+        want = gtree.root(m).counts
+        widths = []
+        for ms in gtree.levels(m, 20):
+            assert ms.counts == want
+            assert ms.total() == sum(want.values())
+            widths.append(ms.w)
+            want = next_counts_by_label(m, want)
+        assert widths[0] == 8 and len(set(widths)) >= 3  # two widenings or more
 
     def test_matches_enumeration_key_for_key(self):
         for m in (1, 2, 3):
