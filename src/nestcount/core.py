@@ -284,26 +284,9 @@ def _nesting_crossing_walk(n):
 
 
 @lru_cache(maxsize=None)
-def _marginals(n):
-    """Counters of max_nesting and of max_crossing over all partitions of
-    [n], both from one walk."""
-    nesting, crossing = Counter(), Counter()
-    for (ne, cr), c in _nesting_crossing_walk(n).items():
-        nesting[ne] += c
-        crossing[cr] += c
-    return nesting, crossing
-
-
-@lru_cache(maxsize=None)
-def _nesting_profile(n):
-    """Counter of max_nesting over all partitions of [n]."""
-    return _marginals(n)[0]
-
-
-@lru_cache(maxsize=None)
-def _crossing_profile(n):
-    """Counter of max_crossing over all partitions of [n]."""
-    return _marginals(n)[1]
+def _joint_profile(n):
+    """_nesting_crossing_walk(n), walked once per size for every oracle count."""
+    return _nesting_crossing_walk(n)
 
 
 def count_nonnesting(n: int, m: int, limit: int = ORACLE_LIMIT) -> int:
@@ -312,7 +295,7 @@ def count_nonnesting(n: int, m: int, limit: int = ORACLE_LIMIT) -> int:
     n > limit; pass a larger limit to raise that ceiling.
     """
     check_oracle_scale(n, limit)
-    return sum(c for k, c in _nesting_profile(n).items() if k <= m)
+    return sum(c for (ne, _), c in _joint_profile(n).items() if ne <= m)
 
 
 def nonnesting_sequence(m: int, N: int) -> list[int]:
@@ -327,7 +310,7 @@ def count_noncrossing(n: int, m: int, limit: int = ORACLE_LIMIT) -> int:
     the nesting/crossing equidistribution. Refuses n > limit; pass a larger
     limit to raise that ceiling."""
     check_oracle_scale(n, limit)
-    return sum(c for k, c in _crossing_profile(n).items() if k <= m)
+    return sum(c for (_, cr), c in _joint_profile(n).items() if cr <= m)
 
 
 def label_distribution(n: int, m: int, limit: int = ORACLE_LIMIT) -> dict:
@@ -344,7 +327,7 @@ def label_distribution(n: int, m: int, limit: int = ORACLE_LIMIT) -> dict:
 def joint_nesting_crossing(n: int, limit: int = ORACLE_LIMIT) -> dict:
     """Map (max_nesting, max_crossing) -> count over all partitions of [n]."""
     check_oracle_scale(n, limit)
-    return dict(_nesting_crossing_walk(n))
+    return dict(_joint_profile(n))
 
 
 def bell_numbers(N: int) -> list[int]:

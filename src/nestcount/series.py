@@ -41,10 +41,15 @@ with exact integer coefficients.
       s * (F - G/(1+q) + sum_{j=1..m} (F - F(.., x_{j-1}+x_j, 0, ..))/x_j)
   with x_0 := 0. Each divided difference drops the x_j-free part of F
   before it divides by x_j, so no key the step forms has a negative
-  exponent. G/(1+q) is exact: Q_d = G_d - q*Q_{d-1} by total degree, up to
-  the order's degree cap. The product by s is the input plus its m copies
-  with one x_i exponent raised. States are kept finite by a grading: a
-  monomial at t-order k is retained iff its total x-degree is <= W - k.
+  exponent. No step divides by 1+q: s at x_1 = 0 is 1 + q, so with A_k the
+  bracket at order k, G_{k+1} is (1+q)*A_k(0,x_2,..,x_m) cut to A_k's
+  degrees, <= W - k - 1 (W the weight bound below), and G_{k+1}/(1+q) is
+  A_k's x_1-free part in every degree order k+1 reads, <= W - k - 2. So each
+  step returns that part of its accumulator, H, with the order, starting
+  from H_0 = 1 (F_0 = s); at m = 1, q = 0 and H is the constant term. The
+  product by s is the input plus its m copies with one x_i exponent raised.
+  States are kept finite by a grading: a monomial at t-order k is retained
+  iff its total x-degree is <= W - k.
   Every right-hand operator moves a monomial of weight degree + order to
   monomials of no lower weight (a division by x_j costs one degree but
   always rides a factor of t), so the grading is closed under the sweep;
@@ -275,30 +280,6 @@ def _times_units(p, lim, m, w):
     return {K: c for K, c in out.items() if c}
 
 
-def _over_one_plus_q(G, lim, m, w):
-    """G / (1 + q), q = x_2 + .. + x_m, on packed keys below lim, for a true
-    polynomial G: Q_d = G_d - q * Q_{d-1}, one degree (top field) at a time."""
-    s = w * m
-    layers = [{} for _ in range(lim >> s)]
-    for K, c in G.items():
-        if K < lim:
-            layers[K >> s][K] = c
-    moves = [(1 << w * i) + (1 << s) for i in range(1, m)]
-    out, prev = {}, {}
-    for cur in layers:
-        for K, c in prev.items():
-            for d in moves:
-                key = K + d
-                v = cur.get(key, 0) - c
-                if v:
-                    cur[key] = v
-                else:
-                    del cur[key]
-        out.update(cur)
-        prev = cur
-    return out
-
-
 def _divided_difference(p, j, acc, w, top):
     """Add (p - p(.., x_{j-1} + x_j, 0, ..)) / x_j, x_0 := 0, into acc, for a
     true polynomial p on packed keys, 1 <= j <= m and top the degree's unit.
@@ -318,16 +299,16 @@ def _divided_difference(p, j, acc, w, top):
                 acc[K + i * move - down] -= c * comb(a, i)
 
 
-def _x_step(F, k, m, W):
+def _x_step(F, H, k, m, W):
     """t-order k+1 of the right-hand side from the final t-order k of F, both
-    on packed keys: s * (F - G/(1 + q) + the m divided differences), as the
-    module docstring says."""
+    on packed keys, with H = G/(1 + q) below the order's cap: s * (F - H + the
+    m divided differences), as the module docstring says. Returns it and the
+    next order's H, the accumulator's x_1-free part below the next cap."""
     w = _x_width(W, m)
     top = 1 << w * m
     lim = W - k + m << w * m  # total degree <= W - (k + 1)
-    G = {K: c for K, c in F.items() if K & (1 << w) - 1 == 1}
     acc = defaultdict(int, {K: c for K, c in F.items() if K < lim})
-    for K, c in _over_one_plus_q(G, lim, m, w).items():
+    for K, c in H.items():
         acc[K] -= c
     for j in range(1, m + 1):
         _divided_difference(F, j, acc, w, top)
@@ -335,7 +316,7 @@ def _x_step(F, k, m, W):
     bad = _first_negative(out, m, w)
     if bad is not None:
         raise SeriesConsistencyError(f"negative exponent survived in {_xunpack([bad], m, w)[0]}")
-    return out
+    return out, {K: c for K, c in acc.items() if K & (1 << w) - 1 == 1 and K < lim - top}
 
 
 def x_series(m: int, N: int, weight_bound: int | None = None) -> list[dict]:
@@ -361,10 +342,11 @@ def x_series(m: int, N: int, weight_bound: int | None = None) -> list[dict]:
         return {exps[K]: c for K, c in F.items()}
 
     F = {_xpack(e, w): c for e, c in truncate_total_degree(_s_poly(m), W).items()}
+    H = {_xpack(zero_mono(m), w): 1}  # F_0 = s, so G_0/(1 + q) = 1
     out = [unpacked(F)]
     for k in range(N):
         try:
-            F = _x_step(F, k, m, W)
+            F, H = _x_step(F, H, k, m, W)
         except SeriesConsistencyError as exc:
             raise SeriesConsistencyError(f"x-engine, m={m}, t-order {k + 1}: {exc}") from exc
         out.append(unpacked(F))

@@ -186,8 +186,7 @@ class TestVerify:
 
     def test_equidistribution_walks_each_size_once(self, capsys, monkeypatch):
         # the nesting and crossing profiles of a size share one walk
-        for cache in (core._marginals, core._nesting_profile, core._crossing_profile):
-            cache.cache_clear()
+        core._joint_profile.cache_clear()
         sizes = []
         walk = core._nesting_crossing_walk
 

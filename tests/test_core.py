@@ -314,6 +314,7 @@ class TestCounts:
             return bisect_left(tails, a)
 
         monkeypatch.setattr(core, "bisect_left", checked)
+        core._joint_profile.cache_clear()  # so the walk runs under the check
         assert core.joint_nesting_crossing(8) == dict(arc_scanning_walk(8))
         assert ties and not any(ties)
 

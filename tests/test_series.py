@@ -389,16 +389,46 @@ class TestXEngine:
                 x_series(m, N, W)
         assert found and found == [None] * len(found)
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_carried_quotient_divides_next_x1_free_part(self, monkeypatch, m):
+        # s at x_1 = 0 is 1 + q, so the H a step returns times 1 + q is the
+        # x_1-free part of the order it returns, in every degree the next step
+        # reads; H holds no term above those degrees
+        steps = []
+        real = series._x_step
+
+        def captured(F, H, k, m, W):
+            out = real(F, H, k, m, W)
+            steps.append((k, out))
+            return out
+
+        monkeypatch.setattr(series, "_x_step", captured)
+        one_plus_q = {zero_mono(m): 1}
+        for i in range(1, m):
+            one_plus_q[tuple(1 if k == i else 0 for k in range(m))] = 1
+        for N in range(9):
+            for W in (N, 2 * N + 2):
+                steps.clear()
+                x_series(m, N, W)
+                assert len(steps) == N
+                w = series._x_width(W, m)
+                for k, (F, H) in steps:
+                    cap = W - k - 2
+                    F, H = xunpacked(F, m, w), xunpacked(H, m, w)
+                    assert all(sum(e) <= cap for e in H)
+                    x1_free = {e: c for e, c in F.items() if e[0] == 0 and sum(e) <= cap}
+                    assert poly_mul(one_plus_q, H, cap) == x1_free
+
     def test_unstable_order_is_named(self, monkeypatch):
         calls = []
         step = series._x_step
 
-        def corrupt_eighth_call(F, k, m, W):
+        def corrupt_eighth_call(F, H, k, m, W):
             # calls 1-5 build t-orders 1-5; calls 6-10 the sweep at the doubled bound
             calls.append(k)
-            out = step(F, k, m, W)
+            out, H = step(F, H, k, m, W)
             zero = series._xpack((0, 0), series._x_width(W, m))
-            return {**out, zero: out.get(zero, 0) + 1} if len(calls) == 8 else out
+            return ({**out, zero: out.get(zero, 0) + 1} if len(calls) == 8 else out), H
 
         monkeypatch.setattr(series, "_x_step", corrupt_eighth_call)
         with pytest.raises(SeriesConsistencyError) as info:
@@ -410,11 +440,12 @@ class TestXEngine:
     def test_check_stable_catches_truncation_off_by_one(self, monkeypatch):
         step = series._x_step
 
-        def drop_cap_degree(F, k, m, W):
+        def drop_cap_degree(F, H, k, m, W):
             cap = W - (k + 1)
             w = series._x_width(W, m)
+            out, H = step(F, H, k, m, W)
             # the top field holds the total degree + m
-            return {K: c for K, c in step(F, k, m, W).items() if K >> w * m != cap + m}
+            return {K: c for K, c in out.items() if K >> w * m != cap + m}, H
 
         monkeypatch.setattr(series, "_x_step", drop_cap_degree)
         assert x_engine(2, 5) == [1, 1, 2, 5, 15, 0]
@@ -541,46 +572,6 @@ class TestSubstitutePair:
         assert "(0, 0, -2)" not in str(info.value)
 
 
-class TestDivideByOnePlusQ:
-    W = 8  # above every test degree, so each packs
-
-    def quotient(self, G, m, cap):
-        w = series._x_width(self.W, m)
-        return xunpacked(series._over_one_plus_q(xpacked(G, w), cap + m + 1 << w * m, m, w), m, w)
-
-    def test_m2_degree_2(self):
-        assert self.quotient({(0, 0): 1}, 2, 2) == {(0, 0): 1, (0, 1): -1, (0, 2): 1}
-
-    def test_m3_degree_1(self):
-        assert self.quotient({(0, 0, 0): 1}, 3, 1) == {
-            (0, 0, 0): 1,
-            (0, 1, 0): -1,
-            (0, 0, 1): -1,
-        }
-
-    @pytest.mark.parametrize("m", [1, 2, 3, 4])
-    @pytest.mark.parametrize(
-        "terms",
-        [
-            [],
-            [((0,), 1)],
-            [((1,), 2), ((0, 2), -3), ((0, 1, 2), 5), ((0, 0, 1, 1), 4)],
-            [((1, 1), 1), ((5, 1), 7), ((0, 3, 4), -1)],
-        ],
-        ids=["empty", "one", "within-cap", "above-cap"],
-    )
-    def test_product_with_denominator_is_dividend(self, m, terms):
-        # exponents on x_1, x_2, .., cut or padded to m variables
-        G = {(e + (0,) * m)[:m]: c for e, c in terms}
-        cap = 4
-        denom = {zero_mono(m): 1}
-        for i in range(1, m):
-            denom[tuple(1 if k == i else 0 for k in range(m))] = 1
-        quotient = self.quotient(G, m, cap)
-        assert all(sum(e) <= cap and c for e, c in quotient.items())
-        assert poly_mul(denom, quotient, cap) == truncate_total_degree(G, cap)
-
-
 class TestKernel:
     def test_transposition_invariance(self):
         for m in (2, 3, 4):
@@ -602,6 +593,10 @@ class TestVIdentity:
 
         pts = [(1, 1), (Fraction(1, 2), 2), (-1, 3)]
         assert v_identity_check(2, 3, pts)
+        # full coefficients at m >= 3, where a truncation slip in the x-step
+        # would show above the constant term
+        assert v_identity_check(3, 10, [(1, 2, 3), (Fraction(1, 2), -1, 4)])
+        assert v_identity_check(4, 8, [(1, 1, 2, 3), (2, Fraction(-1, 3), 1, 5)])
 
     def test_invalid_point(self):
         with pytest.raises(ValueError):
