@@ -29,6 +29,18 @@ field i sums the counts of distinct prefixes at a_m = a_{m-1} + i, and its
 passes form sums of those, all at most that level's total. The bound holds
 at the root, and each step restores it, so every field of every level fits
 in w bits.
+
+Each row is keyed by one int holding its prefix: field i, bits k*i ..
+k*i + k - 1, holds a_{i+1}, with k = _key_width(level) = the bit length of
+level + 1. No key field carries or borrows. At level n every a_j <= n + 1
+(as a_m above), so a level's keys fit k bits. The step from level n works
+at the width of level n + 1, repacking the keys first if that is wider, and
+every field it forms is a_j, a_{j-1} or a_j + 1 of a level-n label, so
+between 1 and n + 2 < 2^k: the singleton move and the child move add one to
+fields holding at most n + 1, a walk's bound sets field j, cleared by the
+grouping mask, to a_{j-1}, and each walked key lowers field j of its group's
+top key by one per step, from a_j to v >= a_{j-1} + 1 >= 2. So keys are
+distinct iff prefixes are, and keys that agree off field j sort by a_j.
 """
 
 from __future__ import annotations
@@ -62,7 +74,8 @@ _W0 = 64  # the root's field width in bits; next_level widens it as counts grow
 @dataclass(frozen=True)
 class LabelMultiset:
     """One generating-tree level, held as rows: field i (bits w*i ..
-    w*i + w - 1) of the int rows[(a_1,..,a_{m-1})] is the number of
+    w*i + w - 1) of the int rows[key], where key packs (a_1,..,a_{m-1}) at
+    _key_width(level) bits per field (0 when m = 1), is the number of
     partitions of [level] labelled (a_1,..,a_{m-1}, b + i), where
     b = a_{m-1} (a_0 := 1, so b = 1 when m = 1). Since a_m >= a_{m-1}, a row
     starts at the smallest a_m its prefix allows. A row may hold zeros. The
@@ -80,7 +93,9 @@ class LabelMultiset:
     def counts(self) -> dict:
         """The level as label -> count, for the labels with a nonzero count."""
         out = {}
-        for prefix, row in self.rows.items():
+        k = _key_width(self.level)
+        for key, row in self.rows.items():
+            prefix = _unpack(key, k, self.m - 1)
             for a, f in enumerate(_fields(row, self.w), prefix[-1] if prefix else 1):
                 c = int.from_bytes(f, "little")
                 if c:
@@ -104,6 +119,22 @@ def _fields(row: int, w: int) -> list[bytes]:
     return [data[i : i + step] for i in range(0, len(data), step)]
 
 
+def _key_width(level: int) -> int:
+    """Bits per field of a level's prefix keys: every a_j <= level + 1."""
+    return (level + 1).bit_length()
+
+
+def _pack(prefix, k: int) -> int:
+    """The key of prefix, k bits per field."""
+    return sum(a << k * i for i, a in enumerate(prefix))
+
+
+def _unpack(key: int, k: int, n: int) -> tuple[int, ...]:
+    """The n fields of key, k bits each, as a prefix tuple."""
+    mask = (1 << k) - 1
+    return tuple([key >> k * i & mask for i in range(n)])
+
+
 def _suffix_sums(row: int, w: int) -> int:
     """Field i becomes the sum of row's fields i, i+1, ..: after the pass
     that adds row >> k, field i holds fields i .. i + 2k/w - 1."""
@@ -118,7 +149,7 @@ def root(m: int) -> LabelMultiset:
     """Level 0: the empty partition, label (1,..,1)."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    return LabelMultiset(m, 0, {(1,) * (m - 1): 1}, _W0)
+    return LabelMultiset(m, 0, {_pack((1,) * (m - 1), _key_width(0)): 1}, _W0)
 
 
 def next_level(ms: LabelMultiset) -> LabelMultiset:
@@ -131,11 +162,12 @@ def next_level(ms: LabelMultiset) -> LabelMultiset:
     have a_j >= v: a suffix sum. Rows turn each sum into whole-row adds. For
     j = m, a row's singletons and suffix sums land in the row of its prefix
     plus one, whose field i gets the row's suffix sum from field i. For
-    j < m, rows are grouped by the prefix without a_j (one coordinate's
-    groups at a time), and a running sum of them walks v down from the
-    largest a_j; for j = m - 1 each row starts at its own a_j, so the running
-    sum moves up one field per step. The loop counts j from 0. First the
-    rows are widened, if need be, so that (level + 1) * total() < 2^w.
+    j < m, the sorted keys map each group of rows that agree off a_j to its
+    largest key, and a running sum of the group's rows walks v down from
+    there; for j = m - 1 each row starts at its own a_j, so the running sum
+    moves up one field per step. The loop counts j from 0. First the rows
+    are widened, if need be, so that (level + 1) * total() < 2^w, and the
+    keys, if need be, to the next level's key width.
     """
     m, w, src = ms.m, ms.w, ms.rows
     need = ((ms.level + 1) * ms.total()).bit_length()
@@ -144,25 +176,29 @@ def next_level(ms: LabelMultiset) -> LabelMultiset:
         w = -(-max(need, w * 5 // 4) // 8) * 8
         pad = bytes((w - old) // 8)
         src = {
-            prefix: int.from_bytes(b"".join(f + pad for f in _fields(row, old)), "little")
-            for prefix, row in src.items()
+            key: int.from_bytes(b"".join(f + pad for f in _fields(row, old)), "little")
+            for key, row in src.items()
         }
-    rows = {tuple([a + 1 for a in p]): _suffix_sums(row, w) for p, row in src.items()}
-    if m == 1:  # a_0 = 1 does not move, so the sums start at a_1 = 2
-        rows[()] <<= w
+    if m == 1:  # one row, keyed 0; a_0 = 1 does not move, so the sums start at a_1 = 2
+        return LabelMultiset(m, ms.level + 1, {0: _suffix_sums(src[0], w) << w}, w)
+    k0, k = _key_width(ms.level), _key_width(ms.level + 1)
+    if k > k0:
+        src = {_pack(_unpack(key, k0, m - 1), k): row for key, row in src.items()}
+    mask = (1 << k) - 1
+    ones = _pack((1,) * (m - 1), k)
+    rows = {key + ones: _suffix_sums(row, w) for key, row in src.items()}
+    keys = sorted(src)
     for j in range(m - 1):
         shift = w if j == m - 2 else 0
-        groups: dict = {}
-        for prefix, row in src.items():
-            groups.setdefault(prefix[:j] + prefix[j + 1 :], {})[prefix[j]] = row
-        for rest, g in groups.items():
-            start = rest[j - 1] + 1 if j else 2
-            head = tuple([a + 1 for a in rest[:j]])
-            tail = rest[j:]
+        step = 1 << k * j
+        low = ones & step - 1  # one in each field below j
+        clear = ~(mask * step)
+        for rest, top in {key & clear: key for key in keys}.items():
+            stop = rest + (rest >> k * (j - 1) & mask if j else 1) * step  # v stops above a_{j-1}
             run = 0
-            for v in range(max(g), start - 1, -1):
-                run = (run << shift) + g.get(v, 0)
-                child = (*head, v, *tail)
+            for key in range(top, stop, -step):
+                run = (run << shift) + src.get(key, 0)
+                child = key + low
                 rows[child] = rows.get(child, 0) + run
     return LabelMultiset(m, ms.level + 1, rows, w)
 

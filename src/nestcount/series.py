@@ -269,9 +269,11 @@ def _first_negative(keys, m, w):
 
 def _times_units(p, lim, m, w):
     """p * s = p * (1 + x_1 + .. + x_m) on packed keys below lim: p plus its m
-    copies moved up by a unit of field i and of the degree."""
+    copies moved up by a unit of field i and of the degree. Every key of p is
+    below lim already: the x-step's accumulator holds F cut to lim, H cut below
+    the next cap, and divided differences of F, which lower the degree."""
     top = 1 << w * m
-    out = defaultdict(int, {K: c for K, c in p.items() if K < lim})
+    out = defaultdict(int, p)
     shifted = [(K, c) for K, c in p.items() if K < lim - top]
     for i in range(m):
         d = (1 << w * i) + top

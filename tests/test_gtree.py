@@ -83,7 +83,7 @@ class TestLevels:
 
     def test_depth_one_m1_node(self):
         w = gtree._W0
-        ms = gtree.LabelMultiset(1, 1, {(): 1 << w}, w)  # label (2,), count 1
+        ms = gtree.LabelMultiset(1, 1, {0: 1 << w}, w)  # label (2,), count 1
         assert gtree.next_level(ms).counts == {(3,): 1, (2,): 1}
 
     def test_level_three_m2_matches_oracle_then_total_15(self):
@@ -127,10 +127,25 @@ class TestLevels:
     def test_width_holds_a_total_at_its_bound(self):
         # (4,) at level 3 has 4 children, so total(4) = 4 * total(3) = 2^8:
         # the next total meets the width bound (n + 1) * total(n) exactly.
-        ms = gtree.LabelMultiset(1, 3, {(): 64 << 24}, 8)
+        ms = gtree.LabelMultiset(1, 3, {0: 64 << 24}, 8)
         nxt = gtree.next_level(ms)
         assert nxt.counts == {(5,): 64, (2,): 64, (3,): 64, (4,): 64}
         assert nxt.total() == 256 and nxt.w > 8
+
+    @pytest.mark.parametrize("level", [5, 6])
+    def test_key_width_holds_a_prefix_at_its_bound(self, level):
+        # keys of levels 3..6 have 3 bits per field: a_j = 7 at level 6 fills
+        # one, and the step forms a_j + 1 = 7 from level 5 and 8 from level 6
+        top = level + 1
+        counts = {(top, top, top): 1, (2, top, top): 2, (3, 4, top): 3,
+                  (top - 1, top, top): 5, (2, 2, 2): 7}
+        w = gtree._W0
+        rows = {}
+        for (a, b, c), n in counts.items():
+            rows[a | b << 3] = rows.get(a | b << 3, 0) + (n << w * (c - b))
+        ms = gtree.LabelMultiset(3, level, rows, w)
+        assert ms.counts == counts
+        assert gtree.next_level(ms).counts == next_counts_by_label(3, counts)
 
     @pytest.mark.parametrize("m", range(1, 7))
     def test_widened_rows_equal_label_keyed_levels(self, monkeypatch, m):

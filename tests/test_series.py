@@ -390,6 +390,23 @@ class TestXEngine:
         assert found and found == [None] * len(found)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_product_by_s_gets_no_key_at_or_above_its_limit(self, monkeypatch, m):
+        # _times_units does not cut its input: the accumulator holds F cut to
+        # lim, H cut below the next cap and differences that lower the degree
+        over = []
+        real = series._times_units
+
+        def checked(p, lim, *args):
+            over.append(sum(K >= lim for K in p))
+            return real(p, lim, *args)
+
+        monkeypatch.setattr(series, "_times_units", checked)
+        for N in range(9):
+            for W in (N, 2 * N + 2):
+                x_series(m, N, W)
+        assert over and over == [0] * len(over)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
     def test_carried_quotient_divides_next_x1_free_part(self, monkeypatch, m):
         # s at x_1 = 0 is 1 + q, so the H a step returns times 1 + q is the
         # x_1-free part of the order it returns, in every degree the next step
@@ -518,7 +535,9 @@ class TestTimesUnitSum:
         w = series._x_width(top + 3, m)
         for cap in range(top - 2, top + 3):
             lim = cap + m + 1 << w * m
-            out = series._times_units(xpacked(p, w), lim, m, w)
+            # the product takes keys below lim only, as the x-step's are
+            below = {K: c for K, c in xpacked(p, w).items() if K < lim}
+            out = series._times_units(below, lim, m, w)
             assert xunpacked(out, m, w) == poly_mul(p, factor, cap)
         lim = top + m + 1 << w * m
         assert series._xpack(gone, w) not in series._times_units(xpacked(p, w), lim, m, w)
