@@ -10,13 +10,51 @@ with exact integer coefficients.
   (1 for j = 1), so in each group of P_n's keys that differ only in u_j the
   quotient is a synthetic division: its u_j^(k-1) coefficient, for k > a,
   is the sum of the group's coefficients at exponents k and up. The step
-  reads each group in place in P_n: it sorts P_n's keys once, maps each
-  group to its largest key, and walks from that top key down one exponent
-  of u_j at a time to a, adding each present coefficient into a running
-  sum (an absent exponent is a gap) and the sum into P_{n+1}. Labels are
-  weakly increasing, so every key of P_n is walked or sits at a; the step
-  counts both and raises if a key is missed, and raises at once for a
-  group whose top key lies below a.
+  reads each group in place in P_n, walking from its top key down one
+  exponent of u_j at a time to a, adding each present coefficient into a
+  running sum (an absent exponent is a gap) and the sum into P_{n+1}.
+  So a label e (a key of P_n; L_n is their set) has the children
+  e + (1, .., 1), its shift, and for each j and e_{j-1} < k <= e_j
+  (e_0 := 1) its child at j, k: e with e_j := k and e_i + 1 for i < j.
+  By induction from L_0 = {(1, .., 1)}, labels are weakly increasing, and
+  for n >= 1 every label has 2 <= e_1 and e_m <= n + 1. Two more facts, by
+  the same induction, give each group's top key without a search; in both
+  proofs e is a child of f in L_{n-1}, and f[j := v] is f with f_j := v.
+  (A) For j < m, e in L_n has e[j := v] in L_n for every v in [e_j, e_{j+1}].
+      If e is f's shift, e[j := v] is the shift of f[j := v - 1]. If e is
+      f's child at i, k: for j > i or j < i - 1, it is the child at i, k of
+      f with field j raised to v (to v - 1 if j < i), which leaves f_{i-1}
+      and f_i alone; for j = i, the child at i, v of f[i := f_{i+1}]; for
+      j = i - 1, the child at i, k of f[j := v - 1], as v - 1 < k <= f_i.
+  (B) For m >= 2, e in L_n has e[m := v] in L_n for every v in [e_{m-1}, e_m].
+      This is i = m of (F): for n >= 1 and 1 <= i <= m, e in L_n has
+      (e_1, .., e_{i-1}, x, .., x) in L_n for x in [e_{i-1}, e_i], e_0 := 2.
+      L_1 = {(2, .., 2)} holds it. At i = 1 it follows from (x, .., x) in L_n
+      for 2 <= x <= n + 1: the shift of (x-1, .., x-1), and (2, .., 2) is its
+      own child at 1, 2. For i >= 2: if e is f's shift or its child at j >= i,
+      e_{i-1} = f_{i-1} + 1 and e_i <= f_i + 1, so the target is the shift of
+      (f_1, .., f_{i-1}, x-1, .., x-1). If j < i - 1, it is the child at j, k
+      of (f_1, .., f_{i-1}, x, .., x). If j = i - 1, then e_{i-1} = k and
+      e_i = f_i, and it is the child at j, k of (f_1, .., f_{i-1}, x, .., x)
+      for x >= f_{i-1}, and of (f_1, .., f_{i-2}, x, .., x), (F) at i - 1 for
+      f as x >= k >= 2, for x < f_{i-1}.
+  By (B), the u_m exponents of a group run without a gap up to its top key's
+  (at m = 1, L_n = {2, .., n + 1} for n >= 1), so u_m's top keys are the
+  keys of P_n whose next exponent of u_m is absent, one per group. By (A),
+  the top key of a u_j
+  group, j < m, has e_j = e_{j+1}: it is the key at a of its u_{j+1} group,
+  which u_{j+1}'s walk tests for. So the step walks u_m, then u_{m-1} down
+  to u_1, and each walk returns the keys at a it finds in P_n as the next
+  walk's top keys. Each walk counts its steps less its gaps, plus its keys
+  at a, and raises unless that is the size of P_n: a missed top key makes
+  the count short, and a u_m group with a gap, walked once per run of
+  exponents, makes it long. The message names the keys not walked and the
+  groups walked twice. While no key lies below its group's a (labels are
+  weakly increasing) the two cannot cancel: u_m's walks read every key of
+  each group at least once, so they can only count long, and a u_j group
+  (j < m) holds at most one key with e_j = e_{j+1}, so it is walked at most
+  once and can only count short. The step raises at once for a top key
+  below a.
   Inside the engine a monomial u^e is one int holding e_i in bits
   w*(i-1) .. w*i - 1, with w = (N + 1).bit_length(). No field overflows
   or borrows: an exponent of P_n is at most n + 1 <= N + 1 < 2^w, the shift
@@ -103,17 +141,18 @@ def _unpack(K, m, w):
     return tuple((K >> w * i) & mask for i in range(m))
 
 
-def _merge_pair(keys, j, w):
-    """The groups of p - p|merge for 1-based j, as {rest: top}: rest clears
-    u_j's field, and top is the last of keys (p's, sorted) that clears to it."""
-    clear = ~(((1 << w) - 1) << w * (j - 1))
-    return {K & clear: K for K in keys}
+def _merge_pair(p, m, w):
+    """u_m's top keys: the keys of p whose next exponent of u_m is absent, one
+    per group, since u_m's groups have no gaps (fact (B), module docstring)."""
+    step = 1 << w * (m - 1)
+    return [K for K in p if K + step not in p]
 
 
 def _divide_by_var_minus_one(p, tops, var, out, m, w):
     """Add the exact quotient of p - p|merge by u_{var+1} - 1, times u_1 ..
-    u_{var+1}, into out (var 0-based), walking each group of tops from its
-    top key down to its merge exponent a, as the module docstring says."""
+    u_{var+1}, into out (var 0-based), walking each group from its top key in
+    tops down to its merge exponent a, as the module docstring says. Returns
+    the keys at a that p holds: u_var's top keys."""
     s = w * var
     step = 1 << s
     mask = (1 << w) - 1
@@ -123,7 +162,9 @@ def _divide_by_var_minus_one(p, tops, var, out, m, w):
     prev, first = (mask << s - w, 0) if var else (0, 1)
     get = p.get
     seen = 0
-    for rest, top in tops.items():
+    bases = []
+    for top in tops:
+        rest = top & clear
         base = rest + ((rest & prev) << w | first)
         if top < base:
             raise SeriesConsistencyError(
@@ -131,25 +172,38 @@ def _divide_by_var_minus_one(p, tops, var, out, m, w):
                 f"{(base >> s) & mask}, dividing by u_{var + 1} - 1, "
                 f"in the monomial {_unpack(top, m, w)}"
             )
+        seen += (top - base) >> s  # every step walked, less each gap below
         running = 0
         for key in range(top, base, -step):
             c = get(key)
             if c:
                 running += c
-                seen += 1
+            else:
+                seen -= 1
             dest = key + low
             out[dest] = out.get(dest, 0) + running
-        seen += base in p
+        if base in p:
+            bases.append(base)
+    seen += len(bases)
     if seen != len(p):
+        walks = defaultdict(list)
+        for top in tops:
+            walks[top & clear].append(top)
         missed = [
             _unpack(K, m, w)
             for K in sorted(p)
-            if not (K & clear) + ((K & prev) << w | first) <= K <= tops.get(K & clear, -1)
+            if not (K & clear) + ((K & prev) << w | first) <= K <= max(walks.get(K & clear, [-1]))
+        ]
+        twice = [
+            [_unpack(K, m, w) for K in sorted(p) if K & clear == rest]
+            for rest, group_tops in walks.items()
+            if len(group_tops) > 1
         ]
         raise SeriesConsistencyError(
             f"{seen} of {len(p)} monomials walked or at the merge exponent, dividing by "
-            f"u_{var + 1} - 1; not walked: {missed}"
+            f"u_{var + 1} - 1; not walked: {missed}; groups walked more than once: {twice}"
         )
+    return bases
 
 
 def _shift(p, ones):
@@ -159,9 +213,9 @@ def _shift(p, ones):
 
 def _u_step(p, m, w):
     new = _shift(p, _pack((1,) * m, w))
-    keys = sorted(p)
-    for j in range(1, m + 1):
-        _divide_by_var_minus_one(p, _merge_pair(keys, j, w), j - 1, new, m, w)
+    tops = _merge_pair(p, m, w)
+    for var in range(m - 1, -1, -1):
+        tops = _divide_by_var_minus_one(p, tops, var, new, m, w)
     return new
 
 

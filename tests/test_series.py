@@ -71,6 +71,12 @@ def unpacked(p, m, w):
     return {series._unpack(K, m, w): c for K, c in p.items()}
 
 
+def group_tops(p, var, w):
+    """The largest key of each group of packed keys that differ only in field var."""
+    clear = ~(((1 << w) - 1) << w * var)
+    return list({K & clear: K for K in sorted(p)}.values())
+
+
 def xpacked(p, w):
     return {series._xpack(e, w): c for e, c in p.items()}
 
@@ -158,43 +164,98 @@ class TestUEngine:
 
     @staticmethod
     def divide(p, var, out, m, w):
-        """One pass of the fused step over the exponent tuples p, into out."""
+        """One walk of the fused step over the exponent tuples p, into out,
+        from each group's largest key; returns out and the keys at the merge
+        exponent that the walk found in p."""
         p, out = packed(p, w), packed(out, w)
-        tops = series._merge_pair(sorted(p), var + 1, w)
-        series._divide_by_var_minus_one(p, tops, var, out, m, w)
-        return unpacked(out, m, w)
+        bases = series._divide_by_var_minus_one(p, group_tops(p, var, w), var, out, m, w)
+        return unpacked(out, m, w), [series._unpack(K, m, w) for K in bases]
 
     def test_division_adds_shifted_quotient(self):
         # u_1 = 1 merges u_1^3 u_2^2 into u_1 u_2^2: (u_1^3 - u_1) / (u_1 - 1) * u_1
         # = u_1^3 + u_1^2, at u_2's exponent 2; u_1^2 is read at the gap u_1^2 u_2^2
         out = self.divide({(3, 2): 1}, 0, {(3, 2): 4, (1, 1): 5}, 2, 3)
-        assert out == {(3, 2): 5, (2, 2): 1, (1, 1): 5}
+        assert out == ({(3, 2): 5, (2, 2): 1, (1, 1): 5}, [])
         # u_2 = u_1 merges 2 u_1 u_2^3 into 2 u_1 u_2; the quotient 2 u_2^2 + 2 u_2
-        # is times u_1 u_2; u_1 u_2 sits at the merge exponent and adds nothing
+        # is times u_1 u_2; u_1 u_2 sits at the merge exponent, adds nothing and
+        # is returned as the top key of its u_1 group
         out = self.divide({(1, 3): 2, (1, 1): 7}, 1, {}, 2, 3)
-        assert out == {(2, 3): 2, (2, 2): 2}
+        assert out == ({(2, 3): 2, (2, 2): 2}, [(1, 1)])
 
     def test_division_rejects_unwalked_key(self):
         # a group left out of the tops is never walked, so the count comes up short
         p = packed({(1, 1): 1, (2, 3): 1}, 3)
-        tops = {pack((1, 0), 3): pack((1, 1), 3)}
+        tops = [pack((1, 1), 3)]
         with pytest.raises(SeriesConsistencyError, match=r"1 of 2 .* not walked: \[\(2, 3\)\]"):
             series._divide_by_var_minus_one(p, tops, 1, {}, 2, 3)
 
+    def test_division_rejects_group_walked_twice(self):
+        # u_2's exponents 2 and 4 with a gap at 3: the top pass finds a top key
+        # at each, so the group is walked twice and the count comes up long
+        p = packed({(2, 2): 1, (2, 4): 1}, 3)
+        tops = series._merge_pair(p, 2, 3)
+        assert sorted(tops) == sorted(p)
+        with pytest.raises(
+            SeriesConsistencyError,
+            match=r"3 of 2 .* not walked: \[\]; groups walked more than once: \[\[\(2, 2\), \(2, 4\)\]\]",
+        ):
+            series._divide_by_var_minus_one(p, tops, 1, {}, 2, 3)
+
+    def test_group_walked_twice_names_engine_order_and_group(self, monkeypatch):
+        shift = series._shift
+        calls = []
+
+        def add_gap_to_order_2(p, ones):
+            out = shift(p, ones)
+            calls.append(None)
+            if len(calls) == 2:
+                out[pack((2, 4), 3)] = 1  # u_2's group at u_1^2 is then {2, 4}
+            return out
+
+        monkeypatch.setattr(series, "_shift", add_gap_to_order_2)
+        with pytest.raises(SeriesConsistencyError) as info:
+            u_series(2, 3)  # 3-bit fields
+        msg = str(info.value)
+        for field in (
+            "u-engine",
+            "m=2",
+            "t-order 3",
+            "4 of 3",
+            "u_2 - 1",
+            "groups walked more than once: [[(2, 2), (2, 4)]]",
+        ):
+            assert field in msg
+
+    @staticmethod
+    def lower_first_walking_top(tops, m, var, w):
+        """Move the first top key of a group that walks a step down one step."""
+        for i, top in enumerate(tops):
+            e = series._unpack(top, m, w)
+            if e[var] > (e[var - 1] if var else 1):
+                tops[i] = top - (1 << w * var)
+                break
+        return tops
+
     def test_dropped_merge_term_is_caught(self, monkeypatch):
+        # u_m's top pass loses the top key u_1^2 u_2^3 of P_3
         merge = series._merge_pair
 
-        def drop_one_top(keys, j, w):
-            # the first group that walks a step loses its top key
-            tops = merge(keys, j, w)
-            for rest, top in tops.items():
-                e = series._unpack(top, 2, w)
-                if e[j - 1] > (e[j - 2] if j > 1 else 1):
-                    tops[rest] = top - (1 << w * (j - 1))
-                    break
-            return tops
+        def drop_one_top(p, m, w):
+            return self.lower_first_walking_top(merge(p, m, w), m, m - 1, w)
 
         monkeypatch.setattr(series, "_merge_pair", drop_one_top)
+        with pytest.raises(SeriesConsistencyError, match=r"not walked: \[\(2, 3\)\]"):
+            u_series(2, 4)
+
+    def test_dropped_walk_top_is_caught(self, monkeypatch):
+        # u_2's walk hands u_1 a wrong top key for P_1's u_1^2 u_2^2
+        divide = series._divide_by_var_minus_one
+
+        def drop_one_base(p, tops, var, out, m, w):
+            bases = divide(p, tops, var, out, m, w)
+            return self.lower_first_walking_top(bases, m, var - 1, w) if var else bases
+
+        monkeypatch.setattr(series, "_divide_by_var_minus_one", drop_one_base)
         with pytest.raises(SeriesConsistencyError, match=r"not walked: \[\(2, 2\)\]"):
             u_series(2, 3)
 
@@ -202,10 +263,10 @@ class TestUEngine:
         P2 = u_series(2, 2)[2]
         merge = series._merge_pair
 
-        def corrupt_order_3_in_u2(keys, j, w):
-            tops = merge(keys, j, w)
-            if j == 2 and {series._unpack(K, 2, w) for K in keys} == set(P2):
-                tops[pack((7, 0), w)] = pack((7, 4), w)
+        def corrupt_order_3_in_u2(p, m, w):
+            tops = merge(p, m, w)
+            if {series._unpack(K, 2, w) for K in p} == set(P2):
+                tops.append(pack((7, 4), w))
             return tops
 
         monkeypatch.setattr(series, "_merge_pair", corrupt_order_3_in_u2)
@@ -214,6 +275,30 @@ class TestUEngine:
         msg = str(info.value)
         for field in ("u-engine", "m=2", "t-order 3", "u_2 - 1", "merge exponent 7", "(7, 4)"):
             assert field in msg
+
+    @pytest.mark.parametrize("m,N", [(m, 14) for m in range(1, 7)] + [(2, 40)])
+    def test_top_keys_need_no_search(self, m, N):
+        # the facts of the module docstring: (A) for j < m, u_j's exponent can
+        # rise to u_{j+1}'s; (B) for m >= 2, u_m's exponent can fall to u_{m-1}'s,
+        # and at m = 1 P_n's exponents are 2 .. n + 1
+        w = (N + 1).bit_length()
+        P = u_series(m, N)
+        for n, p in enumerate(P):
+            for e in p:
+                for j in range(m - 1):
+                    assert all(e[:j] + (v,) + e[j + 1 :] in p for v in range(e[j], e[j + 1] + 1))
+                if m >= 2:
+                    assert all(e[:-1] + (v,) in p for v in range(e[-2], e[-1] + 1))
+            if m == 1 and n:
+                assert set(p) == {(v,) for v in range(2, n + 2)}
+        # so u_m's top pass and each walk's keys at the merge exponent are
+        # every group's largest key
+        for p in P[:-1]:
+            p = packed(p, w)
+            tops = series._merge_pair(p, m, w)
+            for var in range(m - 1, -1, -1):
+                assert sorted(tops) == sorted(group_tops(p, var, w))
+                tops = series._divide_by_var_minus_one(p, tops, var, {}, m, w)
 
     def test_walk_crosses_gaps(self):
         # a group's exponents of u_j between the merge exponent and its top
@@ -239,9 +324,9 @@ class TestUEngine:
         [
             # u_1^3 u_2^2 is alone in its u_2-group: its top key lies below a = 3
             ([(1, 1), (3, 2)], r"exponent 2 of u_2 below the merge exponent 3, .*\(3, 2\)"),
-            # u_1^3 u_2^2 lies under its group's top key u_1^3 u_2^4: the walk
-            # from the top stops at a = 3 and never reads it
-            ([(1, 1), (3, 2), (3, 4)], r"u_2 - 1; not walked: \[\(3, 2\)\]"),
+            # u_1^3 u_2^2 lies under u_1^3 u_2^4 with a gap at 3 between them, so
+            # the top pass takes it as a top key of its own, below a = 3
+            ([(1, 1), (3, 2), (3, 4)], r"exponent 2 of u_2 below the merge exponent 3, .*\(3, 2\)"),
         ],
         ids=["top_key", "under_top_key"],
     )
@@ -290,7 +375,7 @@ class TestUEngine:
         for name in calls:
             monkeypatch.setattr(series, name, counted(name))
         assert unpacked(series._u_step(packed(P[3], 3), 3, 3), 3, 3) == P[4]
-        assert calls == {"_shift": 1, "_merge_pair": 3, "_divide_by_var_minus_one": 3}
+        assert calls == {"_shift": 1, "_merge_pair": 1, "_divide_by_var_minus_one": 3}
 
     @pytest.mark.parametrize("m", range(1, 7))
     def test_pack_unpack_round_trip(self, m):
