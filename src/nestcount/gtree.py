@@ -15,6 +15,8 @@ so a row splits into fields as bytes. The root has w = _W0. Before a step
 from level n, next_level repacks the rows at max(b, 5w/4) bits, rounded up
 to a multiple of 8, if b, the bit length of (n + 1) * total(n), exceeds w.
 So (n + 1) * total(n) < 2^w during the step, and widths grow geometrically.
+The repack re-lays the whole level at once (_widen), giving the same ints
+as padding each field with zero bytes one at a time.
 No field overflows: at level n every a_m <= n + 1 (the root has a_m = 1, and
 a child's a_m is at most its parent's plus one), so a label has at most
 n + 1 children and total(n + 1) <= (n + 1) * total(n) < 2^w. Every value a
@@ -34,7 +36,9 @@ Each row is keyed by one int holding its prefix: field i, bits k*i ..
 k*i + k - 1, holds a_{i+1}, with k = _key_width(level) = the bit length of
 level + 1. No key field carries or borrows. At level n every a_j <= n + 1
 (as a_m above), so a level's keys fit k bits. The step from level n works
-at the width of level n + 1, repacking the keys first if that is wider, and
+at the width of level n + 1, repacking the keys first if that is wider (one
+pass over all keys per field, _rekey, giving the same ints as repacking
+each key on its own), and
 every field it forms is a_j, a_{j-1} or a_j + 1 of a level-n label, so
 between 1 and n + 2 < 2^k: the singleton move and the child move add one to
 fields holding at most n + 1, a walk's bound sets field j, cleared by the
@@ -47,6 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 
 def label_children(lab: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -135,6 +140,38 @@ def _unpack(key: int, k: int, n: int) -> tuple[int, ...]:
     return tuple([key >> k * i & mask for i in range(n)])
 
 
+def _widen(rows: dict, old: int, w: int) -> dict:
+    """rows with every field moved from old to w bits, whole level at once:
+    the rows' old fields as one little-endian buffer, one strided copy per
+    byte lane of a field into a zeroed buffer of w-bit fields, and each row
+    read back from its slice. Both widths are multiples of 8, so the ints are
+    those of padding each field with zero bytes."""
+    a, b = old // 8, w // 8
+    fields = [-(-row.bit_length() // old) for row in rows.values()]
+    data = b"".join([row.to_bytes(f * a, "little") for row, f in zip(rows.values(), fields)])
+    buf = bytearray(len(data) // a * b)
+    for i in range(a):
+        buf[i::b] = data[i::a]
+    del data  # free the old layout before the new rows are built
+    view = memoryview(buf)
+    sizes = [f * b for f in fields]
+    return {
+        key: int.from_bytes(view[end - n : end], "little")
+        for key, n, end in zip(rows, sizes, accumulate(sizes))
+    }
+
+
+def _rekey(keys: list, k0: int, k: int, n: int) -> list:
+    """keys with each of their n fields moved from k0 to k >= k0 bits, one
+    field of every key per pass; the same ints as _pack(_unpack(key, k0, n), k)."""
+    mask = (1 << k0) - 1
+    out = [key & mask for key in keys]
+    for i in range(1, n):
+        s0, s = k0 * i, k * i
+        out = [o + ((key >> s0 & mask) << s) for o, key in zip(out, keys)]
+    return out
+
+
 def _suffix_sums(row: int, w: int) -> int:
     """Field i becomes the sum of row's fields i, i+1, ..: after the pass
     that adds row >> k, field i holds fields i .. i + 2k/w - 1."""
@@ -167,23 +204,21 @@ def next_level(ms: LabelMultiset) -> LabelMultiset:
     there; for j = m - 1 each row starts at its own a_j, so the running sum
     moves up one field per step. The loop counts j from 0. First the rows
     are widened, if need be, so that (level + 1) * total() < 2^w, and the
-    keys, if need be, to the next level's key width.
+    keys, if need be, to the next level's key width. Each is a re-layout of
+    the whole level, a few C-level passes over all its rows or keys, and
+    gives the same ints as moving one field at a time.
     """
     m, w, src = ms.m, ms.w, ms.rows
     need = ((ms.level + 1) * ms.total()).bit_length()
     if need > w:
         old = w
         w = -(-max(need, w * 5 // 4) // 8) * 8
-        pad = bytes((w - old) // 8)
-        src = {
-            key: int.from_bytes(b"".join(f + pad for f in _fields(row, old)), "little")
-            for key, row in src.items()
-        }
+        src = _widen(src, old, w)
     if m == 1:  # one row, keyed 0; a_0 = 1 does not move, so the sums start at a_1 = 2
         return LabelMultiset(m, ms.level + 1, {0: _suffix_sums(src[0], w) << w}, w)
     k0, k = _key_width(ms.level), _key_width(ms.level + 1)
     if k > k0:
-        src = {_pack(_unpack(key, k0, m - 1), k): row for key, row in src.items()}
+        src = dict(zip(_rekey(list(src), k0, k, m - 1), src.values()))
     mask = (1 << k) - 1
     ones = _pack((1,) * (m - 1), k)
     rows = {key + ones: _suffix_sums(row, w) for key, row in src.items()}

@@ -45,16 +45,15 @@ with exact integer coefficients.
   group, j < m, has e_j = e_{j+1}: it is the key at a of its u_{j+1} group,
   which u_{j+1}'s walk tests for. So the step walks u_m, then u_{m-1} down
   to u_1, and each walk returns the keys at a it finds in P_n as the next
-  walk's top keys. Each walk counts its steps less its gaps, plus its keys
-  at a, and raises unless that is the size of P_n: a missed top key makes
-  the count short, and a u_m group with a gap, walked once per run of
-  exponents, makes it long. The message names the keys not walked and the
-  groups walked twice. While no key lies below its group's a (labels are
-  weakly increasing) the two cannot cancel: u_m's walks read every key of
-  each group at least once, so they can only count long, and a u_j group
-  (j < m) holds at most one key with e_j = e_{j+1}, so it is walked at most
-  once and can only count short. The step raises at once for a top key
-  below a.
+  walk's top keys. u_m's walk raises at once at a gap, which (B) excludes,
+  naming the missing exponent and the group's top key: a gap would make a
+  second top key in its group. So each u_m group is walked from one top
+  key, and so is each u_j group, j < m: its top keys are keys at a of
+  distinct u_{j+1} groups, and two with e_j = e_{j+1} that agree off e_j
+  are equal. No group is walked twice, so each walk, counting its steps
+  less its gaps, plus its keys at a, counts distinct keys of P_n; it raises,
+  naming the keys not walked, unless that is the size of P_n. The step
+  raises at once for a top key below a.
   Inside the engine a monomial u^e is one int holding e_i in bits
   w*(i-1) .. w*i - 1, with w = (N + 1).bit_length(). No field overflows
   or borrows: an exponent of P_n is at most n + 1 <= N + 1 < 2^w, the shift
@@ -178,6 +177,11 @@ def _divide_by_var_minus_one(p, tops, var, out, m, w):
             c = get(key)
             if c:
                 running += c
+            elif var == m - 1:  # u_m's groups have no gaps (fact (B))
+                raise SeriesConsistencyError(
+                    f"exponent {(key >> s) & mask} of u_{m} missing, dividing by u_{m} - 1, "
+                    f"in the group of the top key {_unpack(top, m, w)}"
+                )
             else:
                 seen -= 1
             dest = key + low
@@ -186,22 +190,15 @@ def _divide_by_var_minus_one(p, tops, var, out, m, w):
             bases.append(base)
     seen += len(bases)
     if seen != len(p):
-        walks = defaultdict(list)
-        for top in tops:
-            walks[top & clear].append(top)
+        walked = {top & clear: top for top in tops}  # one top key per group
         missed = [
             _unpack(K, m, w)
             for K in sorted(p)
-            if not (K & clear) + ((K & prev) << w | first) <= K <= max(walks.get(K & clear, [-1]))
-        ]
-        twice = [
-            [_unpack(K, m, w) for K in sorted(p) if K & clear == rest]
-            for rest, group_tops in walks.items()
-            if len(group_tops) > 1
+            if not (K & clear) + ((K & prev) << w | first) <= K <= walked.get(K & clear, -1)
         ]
         raise SeriesConsistencyError(
             f"{seen} of {len(p)} monomials walked or at the merge exponent, dividing by "
-            f"u_{var + 1} - 1; not walked: {missed}; groups walked more than once: {twice}"
+            f"u_{var + 1} - 1; not walked: {missed}"
         )
     return bases
 

@@ -1,7 +1,25 @@
+import random
+from itertools import product
+
 import pytest
 
 from nestcount import core, gtree, series
 from nestcount.table1 import TABLE1
+
+
+def widen_by_field(rows, old, w):
+    """Reference: every field of every row padded with zero bytes on its own,
+    as next_level widened rows before it re-laid the whole level at once."""
+    pad = bytes((w - old) // 8)
+    return {
+        key: int.from_bytes(b"".join(f + pad for f in gtree._fields(row, old)), "little")
+        for key, row in rows.items()
+    }
+
+
+def rekey_by_key(keys, k0, k, n):
+    """Reference: every key unpacked and packed again on its own."""
+    return [gtree._pack(gtree._unpack(key, k0, n), k) for key in keys]
 
 
 def next_counts_by_label(m, counts):
@@ -163,6 +181,41 @@ class TestLevels:
         for m in (1, 2, 3):
             for n, ms in enumerate(gtree.levels(m, 8)):
                 assert ms.counts == core.label_distribution(n, m)
+
+
+WIDENINGS = [(8, 16), (64, 80), (80, 104), (552, 696)]
+
+
+class TestRelayout:
+    @pytest.mark.parametrize("old,w", WIDENINGS)
+    def test_widen_equals_padding_each_field(self, old, w):
+        rng = random.Random(old)
+        full = (1 << old) - 1
+        rows = {}
+        for key in range(40):
+            fields = [rng.choice([0, 1, full, rng.getrandbits(old)]) for _ in range(rng.randint(1, 12))]
+            fields += [0] * rng.randint(0, 3)  # zero top fields: the row has fewer fields
+            rows[key] = sum(f << old * i for i, f in enumerate(fields))
+        rows[40] = 0
+        got = gtree._widen(rows, old, w)
+        assert got == widen_by_field(rows, old, w)
+        assert list(got) == list(rows)
+
+    @pytest.mark.parametrize("old,w", WIDENINGS)
+    def test_widen_one_row_and_empty_levels(self, old, w):
+        row = sum(((1 << old) - 1 - i) << old * i for i in range(30))  # as an m = 1 level
+        assert gtree._widen({0: row}, old, w) == widen_by_field({0: row}, old, w)
+        assert gtree._widen({}, old, w) == {}
+
+    @pytest.mark.parametrize("m", range(2, 8))
+    def test_rekey_equals_repacking_each_key(self, m):
+        n, rng = m - 1, random.Random(m)
+        for k0 in range(1, 7):
+            full = (1 << k0) - 1
+            prefixes = list(product((1, full), repeat=n))
+            prefixes += [tuple(rng.randint(1, full) for _ in range(n)) for _ in range(20)]
+            keys = [gtree._pack(prefix, k0) for prefix in prefixes]
+            assert gtree._rekey(keys, k0, k0 + 1, n) == rekey_by_key(keys, k0, k0 + 1, n)
 
 
 class TestSequence:

@@ -176,11 +176,11 @@ class TestUEngine:
         # = u_1^3 + u_1^2, at u_2's exponent 2; u_1^2 is read at the gap u_1^2 u_2^2
         out = self.divide({(3, 2): 1}, 0, {(3, 2): 4, (1, 1): 5}, 2, 3)
         assert out == ({(3, 2): 5, (2, 2): 1, (1, 1): 5}, [])
-        # u_2 = u_1 merges 2 u_1 u_2^3 into 2 u_1 u_2; the quotient 2 u_2^2 + 2 u_2
-        # is times u_1 u_2; u_1 u_2 sits at the merge exponent, adds nothing and
-        # is returned as the top key of its u_1 group
-        out = self.divide({(1, 3): 2, (1, 1): 7}, 1, {}, 2, 3)
-        assert out == ({(2, 3): 2, (2, 2): 2}, [(1, 1)])
+        # u_2 = u_1 merges 2 u_1 u_2^3 + 3 u_1 u_2^2 into 5 u_1 u_2; the quotient
+        # 2 u_2^2 + 5 u_2 is times u_1 u_2; u_1 u_2 sits at the merge exponent,
+        # adds nothing and is returned as the top key of its u_1 group
+        out = self.divide({(1, 3): 2, (1, 2): 3, (1, 1): 7}, 1, {}, 2, 3)
+        assert out == ({(2, 3): 2, (2, 2): 5}, [(1, 1)])
 
     def test_division_rejects_unwalked_key(self):
         # a group left out of the tops is never walked, so the count comes up short
@@ -191,15 +191,29 @@ class TestUEngine:
 
     def test_division_rejects_group_walked_twice(self):
         # u_2's exponents 2 and 4 with a gap at 3: the top pass finds a top key
-        # at each, so the group is walked twice and the count comes up long
+        # at each, so the group would be walked twice; the gap raises first
         p = packed({(2, 2): 1, (2, 4): 1}, 3)
         tops = series._merge_pair(p, 2, 3)
         assert sorted(tops) == sorted(p)
         with pytest.raises(
             SeriesConsistencyError,
-            match=r"3 of 2 .* not walked: \[\]; groups walked more than once: \[\[\(2, 2\), \(2, 4\)\]\]",
+            match=r"^exponent 3 of u_2 missing, dividing by u_2 - 1, in the group of the top key \(2, 4\)$",
         ):
             series._divide_by_var_minus_one(p, tops, 1, {}, 2, 3)
+
+    def test_gap_under_a_second_top_key_is_named_in_u_m(self):
+        # u_2's gap at 4 makes (3, 3) a top key besides (3, 5); (3, 3)'s walk is
+        # empty and its base (3, 3) would be handed on twice, cancelling the
+        # unread (3, 2) in the count. The gap raises in u_2's walk instead.
+        p = packed({(3, 2): 1, (3, 3): 1, (3, 5): 1}, 3)
+        tops = series._merge_pair(p, 2, 3)
+        assert sorted(tops) == sorted(packed({(3, 3): 1, (3, 5): 1}, 3))
+        with pytest.raises(
+            SeriesConsistencyError, match=r"exponent 4 of u_2 missing, .* top key \(3, 5\)"
+        ):
+            series._divide_by_var_minus_one(p, tops, 1, {}, 2, 3)
+        with pytest.raises(SeriesConsistencyError, match=r"u_2 .* top key \(3, 5\)"):
+            series._u_step(p, 2, 3)
 
     def test_group_walked_twice_names_engine_order_and_group(self, monkeypatch):
         shift = series._shift
@@ -220,9 +234,9 @@ class TestUEngine:
             "u-engine",
             "m=2",
             "t-order 3",
-            "4 of 3",
+            "exponent 3 of u_2 missing",
             "u_2 - 1",
-            "groups walked more than once: [[(2, 2), (2, 4)]]",
+            "top key (2, 4)",
         ):
             assert field in msg
 
