@@ -43,8 +43,8 @@ def _make_record(m, engine, terms, timestamp=None, wall_time=None):
 def _load_cached(path: Path, m: int, engine: str, N: int) -> list[int] | None:
     """Counts 0..N from a cache file, or None unless it is a readable record
     of this version, m and engine with at least N + 1 terms that pass cheap
-    consistency checks: decimal, starts at 1, nondecreasing, and the
-    Bell-prefix relation where it applies."""
+    consistency checks: decimal within int()'s digit limit, starts at 1,
+    nondecreasing, and the Bell-prefix relation where it applies."""
     try:
         cached = json.loads(path.read_bytes())
     except (OSError, ValueError, RecursionError):
@@ -60,7 +60,10 @@ def _load_cached(path: Path, m: int, engine: str, N: int) -> list[int] | None:
         and all(isinstance(t, str) and t.isascii() and t.isdigit() for t in cached["terms"])
     ):
         return None
-    vals = [int(t) for t in cached["terms"]]
+    try:
+        vals = [int(t) for t in cached["terms"]]
+    except ValueError:  # a term past int()'s digit limit
+        return None
     if vals[0] != 1 or any(a > b for a, b in zip(vals, vals[1:])):
         return None
     bells = core.bell_numbers(len(vals) - 1)
@@ -257,7 +260,7 @@ def _suite_m2_formula(m, N):
     table = formulas.CoefficientTable.from_gtree(2, max(N, 12))
     first_ok = all(
         formulas.m2_first_term(n) == formulas.ct_reference("first", n)
-        for n in range(min(12, max(N, 12)) + 1)
+        for n in range(13)
     )
     out = [("m2 first term vs CT oracle", first_ok, "n<=12")]
     full = [formulas.m2_full_expression(n, table) for n in range(N + 1)]

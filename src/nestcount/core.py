@@ -210,9 +210,6 @@ def enumerate_partitions(n: int):
     """Yield every set partition of [n] once, in RGS-lexicographic order."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n == 0:
-        yield SetPartition(())
-        return
 
     def rec(prefix, mx):
         if len(prefix) == n:
@@ -226,12 +223,12 @@ def enumerate_partitions(n: int):
     yield from rec([], 0)
 
 
-def check_oracle_scale(n, limit=ORACLE_LIMIT):
-    """Refuse exhaustive enumeration of partitions of [n] past limit."""
-    if n > limit:
+def check_oracle_scale(n):
+    """Refuse exhaustive enumeration of partitions of [n] past ORACLE_LIMIT."""
+    if n > ORACLE_LIMIT:
         raise ValueError(
             f"refusing exhaustive enumeration at n={n}: Bell-number growth "
-            f"makes this impractical beyond n={limit}"
+            f"makes this impractical beyond n={ORACLE_LIMIT}"
         )
 
 
@@ -289,12 +286,12 @@ def _joint_profile(n):
     return _nesting_crossing_walk(n)
 
 
-def count_nonnesting(n: int, m: int, limit: int = ORACLE_LIMIT) -> int:
+def count_nonnesting(n: int, m: int) -> int:
     """Number of partitions of [n] with maximal nesting number <= m,
     i.e. (m+1)-nonnesting partitions, by exhaustive enumeration. Refuses
-    n > limit; pass a larger limit to raise that ceiling.
+    n > ORACLE_LIMIT.
     """
-    check_oracle_scale(n, limit)
+    check_oracle_scale(n)
     return sum(c for (ne, _), c in _joint_profile(n).items() if ne <= m)
 
 
@@ -305,18 +302,17 @@ def nonnesting_sequence(m: int, N: int) -> list[int]:
     return [count_nonnesting(n, m) for n in range(N + 1)]
 
 
-def count_noncrossing(n: int, m: int, limit: int = ORACLE_LIMIT) -> int:
+def count_noncrossing(n: int, m: int) -> int:
     """Same as count_nonnesting with crossings; exists to test
-    the nesting/crossing equidistribution. Refuses n > limit; pass a larger
-    limit to raise that ceiling."""
-    check_oracle_scale(n, limit)
+    the nesting/crossing equidistribution. Refuses n > ORACLE_LIMIT."""
+    check_oracle_scale(n)
     return sum(c for (_, cr), c in _joint_profile(n).items() if cr <= m)
 
 
-def label_distribution(n: int, m: int, limit: int = ORACLE_LIMIT) -> dict:
+def label_distribution(n: int, m: int) -> dict:
     """Map label -> number of partitions of [n] with nesting <= m carrying it.
-    Refuses n > limit; pass a larger limit to raise that ceiling."""
-    check_oracle_scale(n, limit)
+    Refuses n > ORACLE_LIMIT."""
+    check_oracle_scale(n)
     counts = Counter()
     for p in enumerate_partitions(n):
         if max_nesting(standard_representation(p)) <= m:
@@ -324,9 +320,9 @@ def label_distribution(n: int, m: int, limit: int = ORACLE_LIMIT) -> dict:
     return dict(counts)
 
 
-def joint_nesting_crossing(n: int, limit: int = ORACLE_LIMIT) -> dict:
+def joint_nesting_crossing(n: int) -> dict:
     """Map (max_nesting, max_crossing) -> count over all partitions of [n]."""
-    check_oracle_scale(n, limit)
+    check_oracle_scale(n)
     return dict(_joint_profile(n))
 
 

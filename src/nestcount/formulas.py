@@ -219,17 +219,14 @@ def _comb0(k, r):
     return comb(k, r)
 
 
-def m1_series_check(N: int, perturbation: dict | None = None) -> bool:
+def m1_series_check(N: int) -> bool:
     """Expand both sides of the one-variable kernel equation through t^N.
 
     The left side is the label series with u = 1 + x_1; the right side is
     h^n s^(n+1) - sum_{n* < n} (h s)^(n-n*) F_{n*} with F the Catalan
-    numbers (optionally perturbed, to confirm the check has teeth). Exact
-    Laurent polynomials in x_1 on both sides.
+    numbers. Exact Laurent polynomials in x_1 on both sides.
     """
     F = [catalan(k) for k in range(N + 1)]
-    for k, d in (perturbation or {}).items():
-        F[k] += d
     s1 = {(0,): 1, (1,): 1}
     h1 = {(0,): 1, (-1,): 1}
     hs = poly_mul(h1, s1)

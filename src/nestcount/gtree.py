@@ -33,18 +33,17 @@ at the root, and each step restores it, so every field of every level fits
 in w bits.
 
 Each row is keyed by one int holding its prefix: field i, bits k*i ..
-k*i + k - 1, holds a_{i+1}, with k = _key_width(level) = the bit length of
-level + 1. No key field carries or borrows. At level n every a_j <= n + 1
-(as a_m above), so a level's keys fit k bits. The step from level n works
-at the width of level n + 1, repacking the keys first if that is wider (one
-pass over all keys per field, _rekey, giving the same ints as repacking
-each key on its own), and
-every field it forms is a_j, a_{j-1} or a_j + 1 of a level-n label, so
-between 1 and n + 2 < 2^k: the singleton move and the child move add one to
-fields holding at most n + 1, a walk's bound sets field j, cleared by the
-grouping mask, to a_{j-1}, and each walked key lowers field j of its group's
-top key by one per step, from a_j to v >= a_{j-1} + 1 >= 2. So keys are
-distinct iff prefixes are, and keys that agree off field j sort by a_j.
+k*i + k - 1, holds a_{i+1}, with k = bit length of N + 1 for the run, set
+once by root(m, N). No key field carries or borrows: every field a step
+from level n forms is a_j, a_{j-1} or a_j + 1 of a level-n label, and at
+level n every a_j <= n + 1 (as a_m above), so between 1 and n + 2; a step
+from level n < N forms fields <= n + 2 <= N + 1 < 2^k, and next_level
+refuses a step that could form 2^k. The singleton move and the child move
+add one to fields holding at most n + 1, a walk's bound sets field j,
+cleared by the grouping mask, to a_{j-1}, and each walked key lowers field
+j of its group's top key by one per step, from a_j to v >= a_{j-1} + 1 >= 2.
+So keys are distinct iff prefixes are, and keys that agree off field j sort
+by a_j.
 """
 
 from __future__ import annotations
@@ -80,27 +79,28 @@ _W0 = 64  # the root's field width in bits; next_level widens it as counts grow
 class LabelMultiset:
     """One generating-tree level, held as rows: field i (bits w*i ..
     w*i + w - 1) of the int rows[key], where key packs (a_1,..,a_{m-1}) at
-    _key_width(level) bits per field (0 when m = 1), is the number of
+    k bits per field (0 when m = 1), is the number of
     partitions of [level] labelled (a_1,..,a_{m-1}, b + i), where
     b = a_{m-1} (a_0 := 1, so b = 1 when m = 1). Since a_m >= a_{m-1}, a row
     starts at the smallest a_m its prefix allows. A row may hold zeros. The
     width w is a multiple of 8 with (level + 1) * total() < 2^w after each
     step's widening, which the module docstring proves is enough for no
-    field to overflow.
+    field to overflow. k is set once per run, by root(m, N), and
+    next_level steps only while the keys it forms fit k bits.
     """
 
     m: int
     level: int
     rows: dict
     w: int
+    k: int
 
     @cached_property
     def counts(self) -> dict:
         """The level as label -> count, for the labels with a nonzero count."""
         out = {}
-        k = _key_width(self.level)
         for key, row in self.rows.items():
-            prefix = _unpack(key, k, self.m - 1)
+            prefix = _unpack(key, self.k, self.m - 1)
             for a, f in enumerate(_fields(row, self.w), prefix[-1] if prefix else 1):
                 c = int.from_bytes(f, "little")
                 if c:
@@ -122,11 +122,6 @@ def _fields(row: int, w: int) -> list[bytes]:
     step = w // 8
     data = row.to_bytes(-(-row.bit_length() // w) * step, "little")
     return [data[i : i + step] for i in range(0, len(data), step)]
-
-
-def _key_width(level: int) -> int:
-    """Bits per field of a level's prefix keys: every a_j <= level + 1."""
-    return (level + 1).bit_length()
 
 
 def _pack(prefix, k: int) -> int:
@@ -161,17 +156,6 @@ def _widen(rows: dict, old: int, w: int) -> dict:
     }
 
 
-def _rekey(keys: list, k0: int, k: int, n: int) -> list:
-    """keys with each of their n fields moved from k0 to k >= k0 bits, one
-    field of every key per pass; the same ints as _pack(_unpack(key, k0, n), k)."""
-    mask = (1 << k0) - 1
-    out = [key & mask for key in keys]
-    for i in range(1, n):
-        s0, s = k0 * i, k * i
-        out = [o + ((key >> s0 & mask) << s) for o, key in zip(out, keys)]
-    return out
-
-
 def _suffix_sums(row: int, w: int) -> int:
     """Field i becomes the sum of row's fields i, i+1, ..: after the pass
     that adds row >> k, field i holds fields i .. i + 2k/w - 1."""
@@ -182,11 +166,15 @@ def _suffix_sums(row: int, w: int) -> int:
     return row
 
 
-def root(m: int) -> LabelMultiset:
-    """Level 0: the empty partition, label (1,..,1)."""
+def root(m: int, N: int) -> LabelMultiset:
+    """Level 0 of a run to level N: the empty partition, label (1,..,1),
+    keyed at k = (N + 1).bit_length() bits per field for the whole run."""
+    if N < 0:
+        raise ValueError("N must be >= 0")
     if m < 1:
         raise ValueError("m must be >= 1")
-    return LabelMultiset(m, 0, {_pack((1,) * (m - 1), _key_width(0)): 1}, _W0)
+    k = (N + 1).bit_length()
+    return LabelMultiset(m, 0, {_pack((1,) * (m - 1), k): 1}, _W0, k)
 
 
 def next_level(ms: LabelMultiset) -> LabelMultiset:
@@ -203,22 +191,21 @@ def next_level(ms: LabelMultiset) -> LabelMultiset:
     largest key, and a running sum of the group's rows walks v down from
     there; for j = m - 1 each row starts at its own a_j, so the running sum
     moves up one field per step. The loop counts j from 0. First the rows
-    are widened, if need be, so that (level + 1) * total() < 2^w, and the
-    keys, if need be, to the next level's key width. Each is a re-layout of
-    the whole level, a few C-level passes over all its rows or keys, and
-    gives the same ints as moving one field at a time.
+    are widened, if need be, so that (level + 1) * total() < 2^w: the one
+    re-layout, a few C-level passes over all the level's rows, giving the
+    same ints as moving one field at a time. A step that could form a key
+    field of 2^k, past the level its run was sized for, raises ValueError.
     """
-    m, w, src = ms.m, ms.w, ms.rows
+    m, w, k, src = ms.m, ms.w, ms.k, ms.rows
+    if ms.level + 2 >= 1 << k:
+        raise ValueError(f"level {ms.level + 1} does not fit {k}-bit keys")
     need = ((ms.level + 1) * ms.total()).bit_length()
     if need > w:
         old = w
         w = -(-max(need, w * 5 // 4) // 8) * 8
         src = _widen(src, old, w)
     if m == 1:  # one row, keyed 0; a_0 = 1 does not move, so the sums start at a_1 = 2
-        return LabelMultiset(m, ms.level + 1, {0: _suffix_sums(src[0], w) << w}, w)
-    k0, k = _key_width(ms.level), _key_width(ms.level + 1)
-    if k > k0:
-        src = dict(zip(_rekey(list(src), k0, k, m - 1), src.values()))
+        return LabelMultiset(m, ms.level + 1, {0: _suffix_sums(src[0], w) << w}, w, k)
     mask = (1 << k) - 1
     ones = _pack((1,) * (m - 1), k)
     rows = {key + ones: _suffix_sums(row, w) for key, row in src.items()}
@@ -235,7 +222,7 @@ def next_level(ms: LabelMultiset) -> LabelMultiset:
                 run = (run << shift) + src.get(key, 0)
                 child = key + low
                 rows[child] = rows.get(child, 0) + run
-    return LabelMultiset(m, ms.level + 1, rows, w)
+    return LabelMultiset(m, ms.level + 1, rows, w, k)
 
 
 def sequence(m: int, N: int) -> list[int]:
@@ -245,9 +232,7 @@ def sequence(m: int, N: int) -> list[int]:
 
 def levels(m: int, N: int):
     """Yield the multisets for levels 0..N (for marginals and tables)."""
-    if N < 0:
-        raise ValueError("N must be >= 0")
-    ms = root(m)
+    ms = root(m, N)
     yield ms
     for _ in range(N):
         ms = next_level(ms)

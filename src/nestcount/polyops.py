@@ -32,19 +32,12 @@ def poly_sub(p, q):
     return out
 
 
-def poly_mul(p, q, max_total_deg=None):
-    """Product of two sparse polynomials.
-
-    When max_total_deg is given, monomials whose exponent sum exceeds it are
-    dropped from the result (sums are per-monomial, so dropping by total
-    degree commutes with later monomial-wise cancellation).
-    """
+def poly_mul(p, q):
+    """Product of two sparse polynomials."""
     out = {}
     for ea, ca in p.items():
         for eb, cb in q.items():
             e = tuple(a + b for a, b in zip(ea, eb))
-            if max_total_deg is not None and sum(e) > max_total_deg:
-                continue
             s = out.get(e, 0) + ca * cb
             if s:
                 out[e] = s
@@ -53,11 +46,11 @@ def poly_mul(p, q, max_total_deg=None):
     return out
 
 
-def poly_pow(p, k, max_total_deg=None):
+def poly_pow(p, k):
     nvars = len(next(iter(p))) if p else 0
     out = {zero_mono(nvars): 1}
     for _ in range(k):
-        out = poly_mul(out, p, max_total_deg)
+        out = poly_mul(out, p)
     return out
 
 

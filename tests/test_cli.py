@@ -103,6 +103,19 @@ class TestCache:
         assert out == "n,count\n0,1\n1,1\n2,2\n3,5\n4,15\n"
         assert json.loads(path.read_text())["meta"]["version"] == __version__
 
+    def test_overlong_term_recomputed(self, capsys, tmp_path):
+        # a term past int()'s digit limit fails the checks like any other
+        args = ["sequence", "-m", "2", "-n", "3", "--cache-dir", str(tmp_path)]
+        run_cli(capsys, *args)
+        path = tmp_path / "m2_gtree.json"
+        record = json.loads(path.read_text())
+        record["terms"][3] = "5" * 5001
+        path.write_text(json.dumps(record))
+        code, out = run_cli(capsys, *args)
+        assert code == 0
+        assert out == "n,count\n0,1\n1,1\n2,2\n3,5\n"
+        assert json.loads(path.read_text())["terms"] == ["1", "1", "2", "5"]
+
     def test_other_version_record_rejected(self, capsys, tmp_path):
         # a plausible record (Bell prefix, nondecreasing) with a wrong count at n=6
         terms = ["1", "1", "2", "5", "15", "52", "203"]

@@ -1,6 +1,6 @@
 import pytest
 
-from nestcount import gtree
+from nestcount import formulas, gtree
 from nestcount.formulas import (
     CoefficientTable,
     catalan,
@@ -107,5 +107,7 @@ class TestM1SeriesCheck:
     def test_through_t8(self):
         assert m1_series_check(8)
 
-    def test_perturbation_detected(self):
-        assert not m1_series_check(8, {3: 1})
+    def test_perturbation_detected(self, monkeypatch):
+        catalan = formulas.catalan
+        monkeypatch.setattr(formulas, "catalan", lambda k: catalan(k) + (k == 3))
+        assert not m1_series_check(8)

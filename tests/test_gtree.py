@@ -1,5 +1,4 @@
 import random
-from itertools import product
 
 import pytest
 
@@ -15,11 +14,6 @@ def widen_by_field(rows, old, w):
         key: int.from_bytes(b"".join(f + pad for f in gtree._fields(row, old)), "little")
         for key, row in rows.items()
     }
-
-
-def rekey_by_key(keys, k0, k, n):
-    """Reference: every key unpacked and packed again on its own."""
-    return [gtree._pack(gtree._unpack(key, k0, n), k) for key in keys]
 
 
 def next_counts_by_label(m, counts):
@@ -92,16 +86,16 @@ class TestLabelChildren:
 
 class TestLevels:
     def test_root(self):
-        ms = gtree.root(2)
-        assert ms.level == 0 and ms.counts == {(1, 1): 1}
+        ms = gtree.root(2, 0)
+        assert ms.level == 0 and ms.counts == {(1, 1): 1} and ms.k == 1
 
     def test_first_step(self):
-        ms = gtree.next_level(gtree.root(3))
+        ms = gtree.next_level(gtree.root(3, 1))
         assert ms.level == 1 and ms.counts == {(2, 2, 2): 1}
 
     def test_depth_one_m1_node(self):
         w = gtree._W0
-        ms = gtree.LabelMultiset(1, 1, {0: 1 << w}, w)  # label (2,), count 1
+        ms = gtree.LabelMultiset(1, 1, {0: 1 << w}, w, 2)  # label (2,), count 1
         assert gtree.next_level(ms).counts == {(3,): 1, (2,): 1}
 
     def test_level_three_m2_matches_oracle_then_total_15(self):
@@ -135,7 +129,7 @@ class TestLevels:
         "m,N", [(1, 12), (2, 12), (3, 12), (4, 12), (5, 12), (6, 12), (5, 20)]
     )
     def test_rows_equal_label_keyed_levels(self, m, N):
-        want = gtree.root(m).counts
+        want = gtree.root(m, N).counts
         for ms in gtree.levels(m, N):
             assert ms.counts == want
             assert 0 not in ms.counts.values()
@@ -145,15 +139,16 @@ class TestLevels:
     def test_width_holds_a_total_at_its_bound(self):
         # (4,) at level 3 has 4 children, so total(4) = 4 * total(3) = 2^8:
         # the next total meets the width bound (n + 1) * total(n) exactly.
-        ms = gtree.LabelMultiset(1, 3, {0: 64 << 24}, 8)
+        ms = gtree.LabelMultiset(1, 3, {0: 64 << 24}, 8, 3)
         nxt = gtree.next_level(ms)
         assert nxt.counts == {(5,): 64, (2,): 64, (3,): 64, (4,): 64}
         assert nxt.total() == 256 and nxt.w > 8
 
     @pytest.mark.parametrize("level", [5, 6])
     def test_key_width_holds_a_prefix_at_its_bound(self, level):
-        # keys of levels 3..6 have 3 bits per field: a_j = 7 at level 6 fills
-        # one, and the step forms a_j + 1 = 7 from level 5 and 8 from level 6
+        # 3-bit keys serve a run to level 6: the step from level 5 forms
+        # a_j + 1 = 7, which fills a field, and the step from level 6 would
+        # form 8, which does not fit
         top = level + 1
         counts = {(top, top, top): 1, (2, top, top): 2, (3, 4, top): 3,
                   (top - 1, top, top): 5, (2, 2, 2): 7}
@@ -161,14 +156,24 @@ class TestLevels:
         rows = {}
         for (a, b, c), n in counts.items():
             rows[a | b << 3] = rows.get(a | b << 3, 0) + (n << w * (c - b))
-        ms = gtree.LabelMultiset(3, level, rows, w)
+        ms = gtree.LabelMultiset(3, level, rows, w, 3)
         assert ms.counts == counts
-        assert gtree.next_level(ms).counts == next_counts_by_label(3, counts)
+        if level == 5:
+            assert gtree.next_level(ms).counts == next_counts_by_label(3, counts)
+        else:
+            with pytest.raises(ValueError, match="level 7 does not fit 3-bit keys"):
+                gtree.next_level(ms)
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_refuses_a_step_past_its_run(self, m):
+        *_, last = gtree.levels(m, 6)
+        with pytest.raises(ValueError, match="level 7 does not fit 3-bit keys"):
+            gtree.next_level(last)
 
     @pytest.mark.parametrize("m", range(1, 7))
     def test_widened_rows_equal_label_keyed_levels(self, monkeypatch, m):
         monkeypatch.setattr(gtree, "_W0", 8)  # one byte: the smallest width
-        want = gtree.root(m).counts
+        want = gtree.root(m, 20).counts
         widths = []
         for ms in gtree.levels(m, 20):
             assert ms.counts == want
@@ -207,16 +212,6 @@ class TestRelayout:
         assert gtree._widen({0: row}, old, w) == widen_by_field({0: row}, old, w)
         assert gtree._widen({}, old, w) == {}
 
-    @pytest.mark.parametrize("m", range(2, 8))
-    def test_rekey_equals_repacking_each_key(self, m):
-        n, rng = m - 1, random.Random(m)
-        for k0 in range(1, 7):
-            full = (1 << k0) - 1
-            prefixes = list(product((1, full), repeat=n))
-            prefixes += [tuple(rng.randint(1, full) for _ in range(n)) for _ in range(20)]
-            keys = [gtree._pack(prefix, k0) for prefix in prefixes]
-            assert gtree._rekey(keys, k0, k0 + 1, n) == rekey_by_key(keys, k0, k0 + 1, n)
-
 
 class TestSequence:
     def test_m2_through_8(self):
@@ -232,6 +227,13 @@ class TestSequence:
     def test_deep_levels_match_u_engine(self):
         assert gtree.sequence(2, 60) == series.u_engine(2, 60)
         assert gtree.sequence(3, 30) == series.u_engine(3, 30)
+
+    @pytest.mark.parametrize("k", [3, 4])
+    @pytest.mark.parametrize("m", range(2, 7))
+    def test_last_step_fills_a_key_field(self, m, k):
+        # a run to 2^k - 2 is keyed at k bits, and its last step forms 2^k - 1
+        N = 2**k - 2
+        assert gtree.sequence(m, N) == series.u_engine(m, N)
 
     def test_deterministic(self):
         assert gtree.sequence(4, 12) == gtree.sequence(4, 12)
@@ -249,7 +251,7 @@ class TestMarginal:
         assert gtree.marginal(levels[1], 2) == {2: 1}
 
     def test_level_zero(self):
-        assert gtree.marginal(gtree.root(2), 2) == {1: 1}
+        assert gtree.marginal(gtree.root(2, 0), 2) == {1: 1}
 
     def test_children_sum_relation(self):
         levels = list(gtree.levels(2, 4))
@@ -258,6 +260,6 @@ class TestMarginal:
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
-            gtree.marginal(gtree.root(2), 3)
+            gtree.marginal(gtree.root(2, 0), 3)
         with pytest.raises(IndexError):
-            gtree.marginal(gtree.root(2), 0)
+            gtree.marginal(gtree.root(2, 0), 0)
