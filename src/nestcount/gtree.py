@@ -44,6 +44,39 @@ cleared by the grouping mask, to a_{j-1}, and each walked key lowers field
 j of its group's top key by one per step, from a_j to v >= a_{j-1} + 1 >= 2.
 So keys are distinct iff prefixes are, and keys that agree off field j sort
 by a_j.
+
+sequence(m, N) sums away the coordinates no remaining level reads. Write
+pi_p for "keep (a_p,..,a_m)" and step_r for the children rule on r
+coordinates (a_0 := 1 at any r). For 1 <= p <= m, the children of a label
+a, each under pi_{p+1}, are the children of b = pi_p(a) = (a_p,..,a_m) under
+step_{m-p+1}, each with its first coordinate dropped:
+- The singleton child maps to (a_{p+1} + 1,..,a_m + 1), as b's does.
+- A child at j <= p changes no a_i with i > j, so maps to (a_{p+1},..,a_m).
+  There are sum over j <= p of (a_j - a_{j-1}) = a_p - 1 of them, and b's
+  children at its first coordinate, v = 2..a_p, are a_p - 1 children
+  (v, a_{p+1},..,a_m) with that image.
+- A child at j > p, (.., a_{j-1} + 1, v, a_{j+1},..) for v = a_{j-1} + 1..a_j,
+  reads only a_{j-1} and a_j, and j - 1 >= p keeps both in b, where they
+  are b's coordinates j - p and j - p + 1. So it is b's child at
+  coordinate j - p + 1 with the same v, and the two map alike.
+Summed over a level, with counts: if a level holds pi_p of level n's labels,
+one next_level step and then dropping the first coordinate give pi_{p+1}
+of level n + 1's labels, exactly. With p = m the image is empty: the step
+gives level n + 1's total. Dropping a coordinate adds counts, so it keeps
+a level's total. A run to level N reads only total(N), so level n needs
+only max(1, N - n) coordinates: sequence drops a_1 after each step while
+the level holds more. For r >= 3 coordinates the rows whose keys agree off
+field 0 add into key >> k. From 2 to 1, each row is re-based to start at
+a_m = 1 (shifted up by w * (a_1 - 1)) and added into the one m = 1 row,
+keyed 0.
+
+Both proofs above still hold on projected levels. Each field of a level a
+step starts from is a sum of counts of distinct full labels at one a_m, so
+every sum the step forms from them is still at most total(n). Its a_m are
+the full labels' a_m, so at most n + 1, and the level the step forms has
+the total of level n + 1, at most (n + 1) * total(n) < 2^w; each of its
+fields, and each sum the drop forms from them, is at most that total. Every
+key field is a coordinate of a full label, so the key bound is unchanged.
 """
 
 from __future__ import annotations
@@ -87,6 +120,11 @@ class LabelMultiset:
     step's widening, which the module docstring proves is enough for no
     field to overflow. k is set once per run, by root(m, N), and
     next_level steps only while the keys it forms fit k bits.
+
+    A level of sequence's run may be projected: its labels are the last m
+    coordinates of the run's labels, renumbered from 1, and each count sums
+    the partitions whose full labels end that way (module docstring). Its
+    total is the full level's.
     """
 
     m: int
@@ -226,8 +264,30 @@ def next_level(ms: LabelMultiset) -> LabelMultiset:
 
 
 def sequence(m: int, N: int) -> list[int]:
-    """Counts of (m+1)-nonnesting partitions for sizes 0..N."""
-    return [ms.total() for ms in levels(m, N)]
+    """Counts of (m+1)-nonnesting partitions for sizes 0..N. After each
+    step, level n keeps only its last max(1, N - n) label coordinates, which
+    is all that the later levels read (module docstring)."""
+    ms = root(m, N)
+    out = [ms.total()]
+    for _ in range(N):
+        ms = next_level(ms)
+        while ms.m > max(1, N - ms.level):
+            ms = _drop_first(ms)
+        out.append(ms.total())
+    return out
+
+
+def _drop_first(ms: LabelMultiset) -> LabelMultiset:
+    """ms with a_1 summed away: a level on m - 1 coordinates, same total."""
+    w, k = ms.w, ms.k
+    if ms.m == 2:  # re-base each row from a_2 = a_1 to a_1 = 1 (a_0 := 1)
+        rows = {0: sum(row << w * (key - 1) for key, row in ms.rows.items())}
+    else:
+        rows = {}
+        for key, row in ms.rows.items():
+            key >>= k
+            rows[key] = rows.get(key, 0) + row
+    return LabelMultiset(ms.m - 1, ms.level, rows, w, k)
 
 
 def levels(m: int, N: int):

@@ -120,7 +120,8 @@ from fractions import Fraction
 from itertools import accumulate
 from math import comb
 
-from .polyops import poly_eval, poly_mul, truncate_total_degree, zero_mono
+# no series code calls poly_mul; the name stays for perfbench's tracer, which binds it
+from .polyops import poly_eval, poly_mul, truncate_total_degree, zero_mono  # noqa: F401
 
 
 class SeriesConsistencyError(RuntimeError):
@@ -252,13 +253,6 @@ def _s_poly(m):
     p = {zero_mono(m): 1}
     for i in range(m):
         p[tuple(1 if k == i else 0 for k in range(m))] = 1
-    return p
-
-
-def _h_poly(m):
-    p = {zero_mono(m): 1}
-    for i in range(m):
-        p[tuple(-1 if k == i else 0 for k in range(m))] = 1
     return p
 
 
@@ -457,20 +451,4 @@ def v_identity_check(m: int, N: int, sample_points) -> bool:
         for n in range(N + 1):
             if poly_eval(useries[n], u) != poly_eval(xseries[n], pt):
                 return False
-    return True
-
-
-def kernel_transposition_invariant(m: int) -> bool:
-    """The kernel factor s*h, expanded, is fixed by every transposition."""
-    sh = poly_mul(_s_poly(m), _h_poly(m))
-    for a in range(m - 1):
-        b = a + 1
-
-        def swap(e):
-            e = list(e)
-            e[a], e[b] = e[b], e[a]
-            return tuple(e)
-
-        if {swap(e): c for e, c in sh.items()} != sh:
-            return False
     return True

@@ -1,9 +1,10 @@
 import json
 import os
+import sys
 
 import pytest
 
-from nestcount import __version__, core, series
+from nestcount import __version__, core, gtree, series
 from nestcount.cli import main
 
 
@@ -44,6 +45,13 @@ class TestSequence:
         assert rec["m"] == 2 and rec["engine"] == "gtree"
         assert rec["terms"] == ["1", "1", "2", "5", "15", "52", "202"]
         assert json.loads(json.dumps(rec)) == rec
+
+    def test_term_past_digit_limit_printed(self, capsys, monkeypatch):
+        big = 10**5000 + 7  # 5001 digits, past the default 4300-digit limit
+        monkeypatch.setattr(gtree, "sequence", lambda m, N: [1, 1, 2, 5, 15, big])
+        code, out = run_cli(capsys, "sequence", "-m", "2", "-n", "5")
+        assert code == 0
+        assert out == "n,count\n0,1\n1,1\n2,2\n3,5\n4,15\n5,1" + "0" * 4999 + "7\n"
 
     def test_oracle_guard_is_usage_error(self, capsys):
         code, _ = run_cli(
@@ -104,7 +112,7 @@ class TestCache:
         assert json.loads(path.read_text())["meta"]["version"] == __version__
 
     def test_overlong_term_recomputed(self, capsys, tmp_path):
-        # a term past int()'s digit limit fails the checks like any other
+        # a term past int()'s digit limit is read, and fails the Bell bound
         args = ["sequence", "-m", "2", "-n", "3", "--cache-dir", str(tmp_path)]
         run_cli(capsys, *args)
         path = tmp_path / "m2_gtree.json"
@@ -115,6 +123,25 @@ class TestCache:
         assert code == 0
         assert out == "n,count\n0,1\n1,1\n2,2\n3,5\n"
         assert json.loads(path.read_text())["terms"] == ["1", "1", "2", "5"]
+
+    def test_long_terms_read_back(self, capsys, tmp_path, monkeypatch):
+        # terms past the interpreter's int/str digit limit, here lowered to
+        # its floor so that Bell numbers pass it at n = 400, are stored and
+        # then served from the cache
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            bells = core.bell_numbers(400)
+            assert bells[-1] >= 10**640
+            monkeypatch.setattr(gtree, "sequence", lambda m, N: bells[: N + 1])
+            args = ["sequence", "-m", "2", "-n", "400", "--cache-dir", str(tmp_path)]
+            code1, out1 = run_cli(capsys, *args)
+            monkeypatch.setattr(gtree, "sequence", lambda m, N: pytest.fail("not cached"))
+            code2, out2 = run_cli(capsys, *args)
+        finally:
+            sys.set_int_max_str_digits(old)
+        assert (code1, code2) == (0, 0) and out1 == out2
+        assert out1.splitlines()[-1] == f"400,{bells[400]}"
 
     def test_other_version_record_rejected(self, capsys, tmp_path):
         # a plausible record (Bell prefix, nondecreasing) with a wrong count at n=6

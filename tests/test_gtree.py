@@ -245,6 +245,53 @@ class TestSequence:
             gtree.sequence(2, -1)
 
 
+def project(counts, d):
+    """Reference: counts with the first d label coordinates summed away."""
+    out = {}
+    for lab, c in counts.items():
+        out[lab[d:]] = out.get(lab[d:], 0) + c
+    return out
+
+
+class TestProjection:
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_sequence_equals_full_label_totals(self, m):
+        full = [ms.total() for ms in gtree.levels(m, 18)]
+        for N in range(19):
+            assert gtree.sequence(m, N) == full[: N + 1]
+
+    @pytest.mark.parametrize("m", range(2, 7))
+    def test_projected_step_equals_projected_full_step(self, m):
+        for ms in gtree.levels(m, 9):
+            nxt = gtree.next_level(ms)
+            low = ms
+            for d in range(1, m):
+                low = gtree._drop_first(low)
+                assert low.m == m - d and low.counts == project(ms.counts, d)
+                assert low.total() == ms.total()
+                step = gtree.next_level(low)
+                if d < m - 1:
+                    assert gtree._drop_first(step).counts == project(nxt.counts, d + 1)
+                assert step.total() == nxt.total()
+
+    def test_two_coordinates_rebase_onto_one(self):
+        # rows of (a_1, a_2): a_1 = 1 holds a_2 = 1, 2, 3; a_1 = 3 holds a_2 = 3, 4
+        w, k = 8, 3
+        ms = gtree.LabelMultiset(2, 4, {1: 5 | 7 << 2 * w, 3: 11 | 13 << w}, w, k)
+        assert ms.counts == {(1, 1): 5, (1, 3): 7, (3, 3): 11, (3, 4): 13}
+        low = gtree._drop_first(ms)
+        assert (low.m, low.level, low.w, low.k) == (1, 4, w, k)
+        assert low.rows == {0: 5 | 18 << 2 * w | 13 << 3 * w}
+        assert low.counts == {(1,): 5, (3,): 18, (4,): 13}
+
+    def test_three_coordinates_add_rows_that_agree_off_a1(self):
+        w, k = 8, 3
+        rows = {1 | 2 << k: 1 | 2 << w, 2 | 2 << k: 4 << w, 2 | 3 << k: 8}
+        low = gtree._drop_first(gtree.LabelMultiset(3, 4, rows, w, k))
+        assert low.rows == {2: 1 | 6 << w, 3: 8}
+        assert low.counts == {(2, 2): 1, (2, 3): 6, (3, 3): 8}
+
+
 class TestMarginal:
     def test_level_one(self):
         levels = list(gtree.levels(2, 1))

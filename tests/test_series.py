@@ -20,6 +20,7 @@ from nestcount.series import (
     x_engine,
     x_series,
 )
+from series_helpers import kernel_transposition_invariant
 
 
 def mul_upto(p, q, D):
@@ -698,7 +699,7 @@ class TestSubstitutePair:
 class TestKernel:
     def test_transposition_invariance(self):
         for m in (2, 3, 4):
-            assert series.kernel_transposition_invariant(m)
+            assert kernel_transposition_invariant(m)
 
 
 class TestVIdentity:
