@@ -134,18 +134,14 @@ def cmd_labels(args) -> int:
         for ms in gtree.levels(m, n):
             pass
         dist = ms.counts
-    rows = sorted(dist.items())
+    rows = [("[" + ",".join(map(str, k)) + "]", _decimal(c)) for k, c in sorted(dist.items())]
     if args.format == "json":
-        payload = {
-            "m": m,
-            "n": n,
-            "labels": {"[" + ",".join(map(str, k)) + "]": str(c) for k, c in rows},
-        }
+        payload = {"m": m, "n": n, "labels": dict(rows)}
         sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     else:
         sys.stdout.write("label,count\n")
         for k, c in rows:
-            sys.stdout.write("[" + ",".join(map(str, k)) + f"],{c}\n")
+            sys.stdout.write(f"{k},{c}\n")
     return 0
 
 
@@ -161,6 +157,18 @@ def cmd_stats(args) -> int:
 # ---------------------------------------------------------------------------
 # verify suites: each returns a list of (check-name, ok, detail) triples
 
+def _agree(name, got, want, detail, first=0):
+    """The triple for term lists got and want; a mismatch's detail names the
+    first n (list index + first) where they differ, or else their lengths."""
+    bad = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w), None)
+    if bad is not None:
+        g, w = _decimal(got[bad]), _decimal(want[bad])
+        detail += f"; first mismatch n={bad + first}: {g} != {w}"
+    elif len(got) != len(want):
+        detail += f"; length {len(got)} != {len(want)}"
+    return name, bad is None and len(got) == len(want), detail
+
+
 def _suite_table1(m, N):
     top = len(TABLE1[1])
     N = top if N is None else N
@@ -169,18 +177,11 @@ def _suite_table1(m, N):
     if N > top:
         raise ValueError(f"table1 covers n = 1..{top}, not n = {N}")
     ms = tuple(TABLE1) if m is None else (m,)
-    out = []
-    for mm in ms:
-        seq = gtree.sequence(mm, N)
-        want = TABLE1[mm][:N]
-        got = tuple(seq[1 : N + 1])
-        ok = got == want
-        detail = f"m={mm} ({OEIS_IDS[mm]}), n=1..{N}"
-        if not ok:
-            bad = next(i for i in range(N) if got[i] != want[i])
-            detail += f"; first mismatch n={bad + 1}: {got[bad]} != {want[bad]}"
-        out.append((f"table1 m={mm}", ok, detail))
-    return out
+    return [
+        _agree(f"table1 m={mm}", gtree.sequence(mm, N)[1:], TABLE1[mm][:N],
+               f"m={mm} ({OEIS_IDS[mm]}), n=1..{N}", first=1)
+        for mm in ms
+    ]
 
 
 def _suite_cross_engine(m, N):
@@ -189,16 +190,10 @@ def _suite_cross_engine(m, N):
     fns = engines()
     ref = fns.pop("gtree")(m, N)
     del fns["oracle"]  # exhaustive: the oracle suite checks it at oracle scale
-    out = []
-    for name, fn in fns.items():
-        got = fn(m, N)
-        ok = got == ref
-        detail = f"m={m}, N={N} vs gtree"
-        if not ok:
-            bad = next(i for i in range(N + 1) if got[i] != ref[i])
-            detail += f"; first mismatch n={bad}: {got[bad]} != {ref[bad]}"
-        out.append((f"cross-engine {name}", ok, detail))
-    return out
+    return [
+        _agree(f"cross-engine {name}", fn(m, N), ref, f"m={m}, N={N} vs gtree")
+        for name, fn in fns.items()
+    ]
 
 
 def _suite_oracle(m, N):
@@ -206,7 +201,7 @@ def _suite_oracle(m, N):
     N = N if N is not None else 9
     want = core.nonnesting_sequence(m, N)
     return [
-        (f"oracle vs {name}", fn(m, N) == want, f"m={m}, n<=%d" % N)
+        _agree(f"oracle vs {name}", fn(m, N), want, f"m={m}, n<={N}")
         for name, fn in engines().items()
         if name != "oracle"
     ]
@@ -216,14 +211,13 @@ def _suite_catalan(m, N):
     if m not in (None, 1):
         raise ValueError(f"catalan is the m = 1 suite, not m = {m}")
     N = N if N is not None else 30
-    rec = formulas.catalan_recurrence(N)
     closed = [formulas.catalan(n) for n in range(N + 1)]
-    out = [
-        ("catalan recurrence", rec == closed, f"n<=%d vs closed form" % N),
-        ("catalan convolution", formulas.catalan_convolution_check(N), f"n<=%d" % N),
+    return [
+        _agree("catalan recurrence", formulas.catalan_recurrence(N), closed,
+               f"n<={N} vs closed form"),
+        ("catalan convolution", formulas.catalan_convolution_check(N), f"n<={N}"),
         ("m=1 series identity", formulas.m1_series_check(8), "t^8, exact Laurent"),
     ]
-    return out
 
 
 def _suite_labels(m, N):
@@ -241,12 +235,11 @@ def _suite_labels(m, N):
 def _suite_equidistribution(m, N):
     m = 4 if m is None else m
     N = N if N is not None else 10
-    out = []
-    for mm in range(1, m + 1):
-        nonnesting = core.nonnesting_sequence(mm, N)
-        ok = nonnesting == [core.count_noncrossing(n, mm) for n in range(N + 1)]
-        out.append((f"equidistribution m={mm}", ok, f"n<=%d" % N))
-    return out
+    return [
+        _agree(f"equidistribution m={mm}", core.nonnesting_sequence(mm, N),
+               [core.count_noncrossing(n, mm) for n in range(N + 1)], f"n<={N}")
+        for mm in range(1, m + 1)
+    ]
 
 
 def _suite_bell_prefix(m, N):
@@ -254,14 +247,14 @@ def _suite_bell_prefix(m, N):
     out = []
     for mm in range(1, m + 1):
         top = N if N is not None else 2 * mm + 2
-        seq = gtree.sequence(mm, top)
-        bells = core.bell_numbers(top)
-        ok = all(seq[n] == bells[n] for n in range(min(top, 2 * mm + 1) + 1))
+        last = min(top, 2 * mm + 2)  # the last n checked: Bell-1 at 2m+2
+        want = core.bell_numbers(last)
         detail = f"m={mm}: equals Bell for n<=min({top},{2 * mm + 1})"
-        if top >= 2 * mm + 2:
-            ok = ok and seq[2 * mm + 2] == bells[2 * mm + 2] - 1
-            detail += f", Bell-1 at n={2 * mm + 2}"
-        out.append((f"bell-prefix m={mm}", ok, detail))
+        if last == 2 * mm + 2:
+            want[-1] -= 1
+            detail += f", Bell-1 at n={last}"
+        seq = gtree.sequence(mm, top)
+        out.append(_agree(f"bell-prefix m={mm}", seq[: last + 1], want, detail))
     return out
 
 
@@ -272,14 +265,12 @@ def _suite_m2_formula(m, N):
     if N > len(TABLE1[2]):
         raise ValueError(f"m2-formula's reference row covers n <= {len(TABLE1[2])}, not n = {N}")
     table = formulas.CoefficientTable.from_gtree(2, max(N, 12))
-    first_ok = all(
-        formulas.m2_first_term(n) == formulas.ct_reference("first", n)
-        for n in range(13)
-    )
-    out = [("m2 first term vs CT oracle", first_ok, "n<=12")]
+    first = [formulas.m2_first_term(n) for n in range(13)]
+    oracle = [formulas.ct_reference("first", n) for n in range(13)]
+    out = [_agree("m2 first term vs CT oracle", first, oracle, "n<=12")]
     full = [formulas.m2_full_expression(n, table) for n in range(N + 1)]
     want = [1] + list(TABLE1[2][:N])
-    out.append(("m2 assembled expression", full == want, f"n<=%d vs reference row" % N))
+    out.append(_agree("m2 assembled expression", full, want, f"n<={N} vs reference row"))
     printed = [formulas.m2_full_expression(n, table, as_printed=True) for n in range(N + 1)]
     if printed != want:
         bad = next(i for i in range(N + 1) if printed[i] != want[i])

@@ -120,8 +120,7 @@ from fractions import Fraction
 from itertools import accumulate
 from math import comb
 
-# no series code calls poly_mul; the name stays for perfbench's tracer, which binds it
-from .polyops import poly_eval, poly_mul, truncate_total_degree, zero_mono  # noqa: F401
+from .polyops import poly_eval, truncate_total_degree, zero_mono
 
 
 class SeriesConsistencyError(RuntimeError):

@@ -1,10 +1,11 @@
 import json
 import os
+import re
 import sys
 
 import pytest
 
-from nestcount import __version__, core, gtree, series
+from nestcount import __version__, core, formulas, gtree, series
 from nestcount.cli import main
 
 
@@ -12,6 +13,23 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+BIG = 10**5000 + 7  # 5001 digits, past the default 4300-digit int <-> str limit
+
+
+def wrong_list(fn, n):
+    """fn, a term-list function, with its entry n raised by one."""
+    def wrong(*args, **kwargs):
+        out = list(fn(*args, **kwargs))
+        out[n] += 1
+        return out
+    return wrong
+
+
+def wrong_term(fn, n):
+    """fn, a function of (n, ...), with its value at n raised by one."""
+    return lambda k, *args, **kwargs: fn(k, *args, **kwargs) + (k == n)
 
 
 class TestSequence:
@@ -47,8 +65,7 @@ class TestSequence:
         assert json.loads(json.dumps(rec)) == rec
 
     def test_term_past_digit_limit_printed(self, capsys, monkeypatch):
-        big = 10**5000 + 7  # 5001 digits, past the default 4300-digit limit
-        monkeypatch.setattr(gtree, "sequence", lambda m, N: [1, 1, 2, 5, 15, big])
+        monkeypatch.setattr(gtree, "sequence", lambda m, N: [1, 1, 2, 5, 15, BIG])
         code, out = run_cli(capsys, "sequence", "-m", "2", "-n", "5")
         assert code == 0
         assert out == "n,count\n0,1\n1,1\n2,2\n3,5\n4,15\n5,1" + "0" * 4999 + "7\n"
@@ -253,6 +270,54 @@ class TestVerify:
         err = capsys.readouterr().err
         assert code == 2 and "m = 1..6" in err
 
+    @pytest.mark.parametrize(
+        "module, attr, suite",
+        [(gtree, "sequence", "table1"), (series, "x_engine", "cross-engine")],
+    )
+    def test_fail_names_term_past_digit_limit(self, capsys, monkeypatch, module, attr, suite):
+        monkeypatch.setattr(module, attr, lambda m, N: [1, 1, 2, 5, 15, BIG])
+        code, out = run_cli(capsys, "verify", "--suite", suite, "-m", "2", "--terms", "5")
+        assert code == 1
+        fails = [line for line in out.splitlines() if line.startswith("FAIL ")]
+        assert len(fails) == 1
+        assert fails[0].endswith("; first mismatch n=5: 1" + "0" * 4999 + "7 != 52")
+
+    @pytest.mark.parametrize(
+        "module, attr, wrong, argv, check",
+        [
+            (gtree, "sequence", wrong_list, ["table1", "-m", "2", "-n", "6"], "table1 m=2"),
+            (series, "u_engine", wrong_list, ["cross-engine", "-m", "3", "-n", "8"], "cross-engine useries"),
+            (series, "x_engine", wrong_list, ["oracle", "-m", "2", "-n", "7"], "oracle vs xseries"),
+            (core, "count_noncrossing", wrong_term, ["equidistribution", "-m", "2", "-n", "7"], "equidistribution m=1"),
+            (formulas, "catalan_recurrence", wrong_list, ["catalan", "-n", "9"], "catalan recurrence"),
+            (formulas, "m2_first_term", wrong_term, ["m2-formula", "-n", "8"], "m2 first term vs CT oracle"),
+            (formulas, "m2_full_expression", wrong_term, ["m2-formula", "-n", "8"], "m2 assembled expression"),
+            (gtree, "sequence", wrong_list, ["bell-prefix", "-m", "2", "-n", "6"], "bell-prefix m=2"),
+        ],
+    )
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_fail_names_first_mismatch(self, capsys, monkeypatch, module, attr, wrong, argv, check, n):
+        # one term off by one, fed through a rebound function; for bell-prefix
+        # m=2, n=5 is in the Bell prefix and n=6 below would be the Bell-1 term
+        monkeypatch.setattr(module, attr, wrong(getattr(module, attr), n))
+        code, out = run_cli(capsys, "verify", "--suite", *argv)
+        assert code == 1
+        line = next(line for line in out.splitlines() if line.startswith(f"FAIL {check}: "))
+        got, want = re.search(rf"; first mismatch n={n}: (\d+) != (\d+)$", line).groups()
+        assert abs(int(got) - int(want)) == 1
+
+    def test_fail_names_short_term_list(self, capsys, monkeypatch):
+        monkeypatch.setattr(series, "x_engine", lambda m, N: gtree.sequence(m, N)[:-1])
+        code, out = run_cli(capsys, "verify", "--suite", "cross-engine", "-m", "2", "--terms", "5")
+        assert code == 1
+        assert "FAIL cross-engine xseries: m=2, N=5 vs gtree; length 5 != 6\n" in out
+
+    def test_bell_prefix_fail_at_bell_minus_one(self, capsys, monkeypatch):
+        monkeypatch.setattr(gtree, "sequence", wrong_list(gtree.sequence, 6))
+        code, out = run_cli(capsys, "verify", "--suite", "bell-prefix", "-m", "2", "-n", "7")
+        assert code == 1
+        assert "FAIL bell-prefix m=2: m=2: equals Bell for n<=min(7,5), Bell-1 at n=6; first mismatch n=6: 203 != 202\n" in out
+
 
 class TestLabels:
     def test_empty_partition_row(self, capsys):
@@ -281,6 +346,19 @@ class TestLabels:
         _, a = run_cli(capsys, "labels", "-m", "2", "-n", "6")
         _, b = run_cli(capsys, "labels", "-m", "2", "-n", "6", "--engine", "oracle")
         assert a == b
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_count_past_digit_limit_printed(self, capsys, monkeypatch, fmt):
+        monkeypatch.setattr(core, "label_distribution", lambda n, m: {(2, 3): BIG})
+        code, out = run_cli(
+            capsys, "labels", "-m", "2", "-n", "3", "--engine", "oracle", "--format", fmt,
+        )
+        digits = "1" + "0" * 4999 + "7"
+        assert code == 0
+        if fmt == "csv":
+            assert out == "label,count\n[2,3]," + digits + "\n"
+        else:
+            assert json.loads(out)["labels"] == {"[2,3]": digits}
 
 
 class TestStats:
