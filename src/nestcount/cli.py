@@ -226,9 +226,14 @@ def _suite_labels(m, N):
     core.check_oracle_scale(N)
     out = []
     for n, ms in enumerate(gtree.levels(m, N)):
-        want = core.label_distribution(n, m)
-        ok = ms.counts == want
-        out.append((f"labels n={n}", ok, f"m={m}, gtree level vs enumeration"))
+        got, want = ms.counts, core.label_distribution(n, m)
+        detail = f"m={m}, gtree level vs enumeration"
+        bad = next((lab for lab in sorted(got.keys() | want.keys())
+                    if got.get(lab, 0) != want.get(lab, 0)), None)
+        if bad is not None:
+            g, w = _decimal(got.get(bad, 0)), _decimal(want.get(bad, 0))
+            detail += f"; first mismatch label=[{','.join(map(str, bad))}]: {g} != {w}"
+        out.append((f"labels n={n}", bad is None, detail))
     return out
 
 
@@ -264,14 +269,14 @@ def _suite_m2_formula(m, N):
     N = N if N is not None else 10
     if N > len(TABLE1[2]):
         raise ValueError(f"m2-formula's reference row covers n <= {len(TABLE1[2])}, not n = {N}")
-    table = formulas.CoefficientTable.from_gtree(2, max(N, 12))
+    marginals = [gtree.marginal(ms, 2) for ms in gtree.levels(2, N)]
     first = [formulas.m2_first_term(n) for n in range(13)]
     oracle = [formulas.ct_reference("first", n) for n in range(13)]
     out = [_agree("m2 first term vs CT oracle", first, oracle, "n<=12")]
-    full = [formulas.m2_full_expression(n, table) for n in range(N + 1)]
+    full = [formulas.m2_full_expression(n, marginals) for n in range(N + 1)]
     want = [1] + list(TABLE1[2][:N])
     out.append(_agree("m2 assembled expression", full, want, f"n<={N} vs reference row"))
-    printed = [formulas.m2_full_expression(n, table, as_printed=True) for n in range(N + 1)]
+    printed = [formulas.m2_full_expression(n, marginals, as_printed=True) for n in range(N + 1)]
     if printed != want:
         bad = next(i for i in range(N + 1) if printed[i] != want[i])
         out.append((

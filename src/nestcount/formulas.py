@@ -5,9 +5,10 @@ form, plus a full Laurent-series check of the one-variable kernel equation.
 
 m=2 (3-nonnesting): the count F_n decomposes into a multinomial "first
 term" minus contributions indexed by the children statistic F_{n*}(k) (the
-number of partitions of [n*] whose label has a_2 = k). Each piece is
-validated against `ct_reference`, an independent numeric constant-term
-oracle that expands the underlying Laurent expressions exactly.
+number of partitions of [n*] whose label has a_2 = k), which the pieces
+read from `marginals[n*]`, a list of `gtree.marginal(level, 2)`. Each
+piece is validated against `ct_reference`, an independent numeric
+constant-term oracle that expands the underlying Laurent expressions exactly.
 
 Sums with fractional summands (e.g. 1 - l_1/(l_2+1)) are evaluated in
 exact rational arithmetic and asserted integral at the end.
@@ -15,11 +16,9 @@ exact rational arithmetic and asserted integral at the end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from . import gtree
 from .polyops import constant_term_of_product, poly_mul, poly_pow, poly_sub
 from .series import SeriesConsistencyError, u_series
 
@@ -81,35 +80,6 @@ def m2_first_term(n: int) -> int:
     return total.numerator
 
 
-@dataclass
-class CoefficientTable:
-    """Counts F_n and, per size, the children-statistic distribution
-    F_n(k) = #{partitions of [n], nesting <= m, with a_m = k}."""
-
-    m: int
-    totals: list[int]
-    by_label: list[dict]
-
-    @classmethod
-    def from_gtree(cls, m: int, N: int) -> "CoefficientTable":
-        totals = []
-        by_label = []
-        for ms in gtree.levels(m, N):
-            totals.append(ms.total())
-            by_label.append(gtree.marginal(ms, m))
-        return cls(m, totals, by_label)
-
-    def check(self) -> bool:
-        """F_n = sum_k F_n(k) and F_{n+1} = sum_k k*F_n(k)."""
-        for n, dist in enumerate(self.by_label):
-            if self.totals[n] != sum(dist.values()):
-                return False
-            if n + 1 < len(self.totals):
-                if self.totals[n + 1] != sum(k * c for k, c in dist.items()):
-                    return False
-        return True
-
-
 # Laurent building blocks in (x_1, x_2)
 _S2 = {(0, 0): 1, (1, 0): 1, (0, 1): 1}
 _H2 = {(0, 0): 1, (-1, 0): 1, (0, -1): 1}
@@ -131,12 +101,12 @@ def _mono_shift(p, dx1, dx2):
     return {(e[0] + dx1, e[1] + dx2): c for e, c in p.items()}
 
 
-def ct_reference(term: str, n: int, table: CoefficientTable | None = None) -> int:
+def ct_reference(term: str, n: int, marginals: list[dict] | None = None) -> int:
     """Constant-term oracle for the three m=2 pieces.
 
     Expands the rational prefactor 1/(1 - t*h*s) as a geometric series in t
     (order n needs h^a s^(a+1) only), multiplies by the explicit Laurent
-    factors and the series rebuilt from `table`, and reads off the
+    factors and the series rebuilt from `marginals`, and reads off the
     x_1^0 x_2^0 t^n coefficient exactly.
     """
     if term == "first":
@@ -144,13 +114,13 @@ def ct_reference(term: str, n: int, table: CoefficientTable | None = None) -> in
         return constant_term_of_product(pref, {(0, 0): 1, (1, -1): -1})
     if term not in ("second", "third"):
         raise ValueError(f"unknown term {term!r}")
-    if table is None or len(table.by_label) < n:
+    if marginals is None or len(marginals) < n:
         raise ValueError(f"need F_n*(k) for all n* < {n}")
     total = 0
     for nstar in range(n):
         a = n - nstar - 1
         pref = poly_mul(poly_pow(_H2, a), poly_pow(_S2, a + 1))
-        dist = table.by_label[nstar]
+        dist = marginals[nstar]
         if term == "second":
             # (1/x_1) G(x_2) - (x_1/x_2^2) G(x_1), G = sum_k F(k)(1+x)^k
             part = _mono_shift(_binomial_series(dist, 0, axis=1), -1, 0)
@@ -163,9 +133,7 @@ def ct_reference(term: str, n: int, table: CoefficientTable | None = None) -> in
     return total
 
 
-def m2_full_expression(
-    n: int, table: CoefficientTable, as_printed: bool = False
-) -> int:
+def m2_full_expression(n: int, marginals: list[dict], as_printed: bool = False) -> int:
     """Assembled expression for F_n (m=2) in terms of F_{n*}(k), n* < n.
 
     The default reading takes the inner second-piece index condition as
@@ -187,7 +155,7 @@ def m2_full_expression(
                 if not base:
                     continue
                 t2b_sum = (n - 2 - l2) if as_printed else (nn - 2 - l2)
-                for k in table.by_label[nstar]:
+                for k in marginals[nstar]:
                     inner = 0
                     # second piece, identity part
                     for j2 in range(nn - 1 - l1 + 1):
@@ -206,7 +174,7 @@ def m2_full_expression(
                         j3 = nn - 1 - l2 - j1
                         inner -= _multinom3(nn, j1, l2 + 1, j3) * _comb0(k - 1, l1 - j1 - 1)
                     per_k[k] = per_k.get(k, 0) + base * inner
-        for k, c in table.by_label[nstar].items():
+        for k, c in marginals[nstar].items():
             total -= c * per_k.get(k, 0)
     if total.denominator != 1:
         raise SeriesConsistencyError(f"non-integer assembled value at n={n}")

@@ -10,17 +10,6 @@ def zero_mono(nvars):
     return (0,) * nvars
 
 
-def poly_add(p, q):
-    out = dict(p)
-    for e, c in q.items():
-        s = out.get(e, 0) + c
-        if s:
-            out[e] = s
-        else:
-            out.pop(e, None)
-    return out
-
-
 def poly_sub(p, q):
     out = dict(p)
     for e, c in q.items():

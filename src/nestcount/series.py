@@ -399,27 +399,21 @@ def x_series(m: int, N: int, weight_bound: int | None = None) -> list[dict]:
     return out
 
 
-def x_engine(
-    m: int,
-    N: int,
-    weight_bound: int | None = None,
-    check_stable: bool = False,
-) -> list[int]:
+def x_engine(m: int, N: int, check_stable: bool = False) -> list[int]:
     """Counting sequence via the modified x-equation: [x^0] per t-order.
 
-    With check_stable, a second sweep at twice the weight bound must give the
-    same counts; the bound is exact for them, so only a truncation bug moves one.
+    With check_stable, a second sweep at weight bound 2N must give the same
+    counts; the bound N is exact for them, so only a truncation bug moves one.
     """
-    W = N if weight_bound is None else weight_bound
     zero = zero_mono(m)
-    counts = [Fk.get(zero, 0) for Fk in x_series(m, N, W)]
+    counts = [Fk.get(zero, 0) for Fk in x_series(m, N)]
     if check_stable:
-        wide = [Fk.get(zero, 0) for Fk in x_series(m, N, 2 * W)]
+        wide = [Fk.get(zero, 0) for Fk in x_series(m, N, 2 * N)]
         k = next((k for k in range(N + 1) if counts[k] != wide[k]), None)
         if k is not None:
             raise SeriesConsistencyError(
                 f"x-engine, m={m}, t-order {k}: count {counts[k]} at weight bound "
-                f"{W}, {wide[k]} at {2 * W}"
+                f"{N}, {wide[k]} at {2 * N}"
             )
     return counts
 

@@ -1,8 +1,12 @@
 """Series checks that only tests call: no engine, CLI command or CI step
 runs them, so they live beside the tests rather than in the package."""
 
-from nestcount.polyops import poly_mul, zero_mono
+from nestcount.polyops import poly_mul, poly_sub, zero_mono
 from nestcount.series import _s_poly
+
+
+def poly_add(p, q):
+    return poly_sub(p, {e: -c for e, c in q.items()})
 
 
 def _h_poly(m):

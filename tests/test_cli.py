@@ -260,6 +260,37 @@ class TestVerify:
         code, out = run_cli(capsys, "verify", "--suite", "labels", "-m", "2", "-n", "6")
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "extra, named",
+        [
+            ({(3, 3): 1}, "label=[3,3]: 4 != 5"),
+            # a label on one side only counts as 0 on the other
+            ({(2, 3): -3, (9, 9): 1}, "label=[2,3]: 3 != 0"),
+            ({(9, 9): 1}, "label=[9,9]: 0 != 1"),
+            ({(3, 3): BIG}, "label=[3,3]: 4 != 1" + "0" * 4998 + "11"),
+        ],
+        ids=["raised", "missing-in-enumeration", "missing-in-gtree", "past-digit-limit"],
+    )
+    def test_labels_fail_names_first_mismatch(self, capsys, monkeypatch, extra, named):
+        distribution = core.label_distribution
+
+        def wrong(n, m):
+            dist = distribution(n, m)
+            if n == 4:
+                for lab, c in extra.items():
+                    dist[lab] = dist.get(lab, 0) + c
+                dist = {lab: c for lab, c in dist.items() if c}
+            return dist
+
+        monkeypatch.setattr(core, "label_distribution", wrong)
+        code, out = run_cli(capsys, "verify", "--suite", "labels", "-m", "2", "-n", "5")
+        assert code == 1
+        fails = [line for line in out.splitlines() if line.startswith("FAIL ")]
+        assert fails == [
+            f"FAIL labels n=4: m=2, gtree level vs enumeration; first mismatch {named}"
+        ]
+        assert "PASS labels n=5: m=2, gtree level vs enumeration\n" in out
+
     def test_unknown_suite_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "nope"])

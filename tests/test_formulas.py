@@ -2,7 +2,6 @@ import pytest
 
 from nestcount import formulas, gtree
 from nestcount.formulas import (
-    CoefficientTable,
     catalan,
     catalan_convolution_check,
     catalan_recurrence,
@@ -15,8 +14,8 @@ from nestcount.table1 import TABLE1
 
 
 @pytest.fixture(scope="module")
-def table12():
-    return CoefficientTable.from_gtree(2, 12)
+def marginals():
+    return [gtree.marginal(ms, 2) for ms in gtree.levels(2, 10)]
 
 
 class TestCatalan:
@@ -63,41 +62,33 @@ class TestCTReference:
         with pytest.raises(ValueError):
             ct_reference("fourth", 1)
 
-    def test_assembled_identity(self, table12):
+    def test_assembled_identity(self, marginals):
         # first - second - third reproduces the counting sequence
         for n in range(11):
             val = (
                 ct_reference("first", n)
-                - ct_reference("second", n, table12)
-                - ct_reference("third", n, table12)
+                - ct_reference("second", n, marginals)
+                - ct_reference("third", n, marginals)
             )
-            assert val == table12.totals[n]
+            assert val == sum(marginals[n].values())
 
 
 class TestM2FullExpression:
-    def test_small_values(self, table12):
-        assert m2_full_expression(1, table12) == 1
-        assert m2_full_expression(8, table12) == 3930
-        assert m2_full_expression(10, table12) == 97566
+    def test_small_values(self, marginals):
+        assert m2_full_expression(1, marginals) == 1
+        assert m2_full_expression(8, marginals) == 3930
+        assert m2_full_expression(10, marginals) == 97566
 
-    def test_matches_reference_row(self, table12):
-        got = [m2_full_expression(n, table12) for n in range(11)]
+    def test_matches_reference_row(self, marginals):
+        got = [m2_full_expression(n, marginals) for n in range(11)]
         assert got == [1] + list(TABLE1[2][:10])
 
-    def test_as_printed_variant_disagrees(self, table12):
+    def test_as_printed_variant_disagrees(self, marginals):
         # the index bound as printed drops the n* offset; its inner sum
         # collapses for n* > 0 and the totals drift from n=3 on
-        printed = [m2_full_expression(n, table12, as_printed=True) for n in range(6)]
+        printed = [m2_full_expression(n, marginals, as_printed=True) for n in range(6)]
         assert printed != [1] + list(TABLE1[2][:5])
         assert printed[:3] == [1, 1, 2]
-
-
-class TestCoefficientTable:
-    def test_invariants_through_20(self):
-        assert CoefficientTable.from_gtree(2, 20).check()
-
-    def test_totals_match_reference(self, table12):
-        assert table12.totals[1:] == list(TABLE1[2][:12])
 
 
 class TestM1SeriesCheck:

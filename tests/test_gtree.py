@@ -305,6 +305,14 @@ class TestMarginal:
         f3 = gtree.marginal(levels[3], 2)
         assert sum(k * c for k, c in f3.items()) == 15
 
+    def test_children_statistic_through_20(self):
+        # F_n = sum_k F_n(k) and F_{n+1} = sum_k k*F_n(k), m = 2
+        totals = gtree.sequence(2, 21)
+        for n, ms in enumerate(gtree.levels(2, 20)):
+            dist = gtree.marginal(ms, 2)
+            assert sum(dist.values()) == totals[n]
+            assert sum(k * c for k, c in dist.items()) == totals[n + 1]
+
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
             gtree.marginal(gtree.root(2, 0), 3)
