@@ -6,6 +6,12 @@ than the published tables that start at n=1.
 Output is deterministic for fixed flags: cached records keep their real
 timestamp and wall time, but stdout normalizes both to null so repeated
 runs are byte-identical.
+
+Imports: each command imports only the modules it runs, since every module
+imported is loaded again at each start. gtree (the default engine, which
+most verify suites call) and series (the series engines, and main's
+SeriesConsistencyError) load with this module, so that no call pays their
+load; core, formulas and datetime are imported where they are used.
 """
 
 from __future__ import annotations
@@ -15,24 +21,24 @@ import json
 import os
 import sys
 import time
-from datetime import datetime, timezone
+from importlib import import_module
 from pathlib import Path
 
-from . import __version__, core, formulas, gtree, series
+from . import __version__, gtree, series
 from .series import SeriesConsistencyError
 from .table1 import OEIS_IDS, TABLE1
 
 
-def engines() -> dict:
-    """Engine name -> fn(m, N) giving the counts for sizes 0..N. Built per
-    call, not at import, so that an engine rebound on its module later (as
-    perfbench's tracer does) is the one that runs."""
-    return {
-        "oracle": core.nonnesting_sequence,
-        "gtree": gtree.sequence,
-        "useries": series.u_engine,
-        "xseries": series.x_engine,
-    }
+# Engine name -> (module, function) of fn(m, N), the counts for sizes 0..N.
+ENGINES = {"oracle": ("core", "nonnesting_sequence"), "gtree": ("gtree", "sequence"),
+           "useries": ("series", "u_engine"), "xseries": ("series", "x_engine")}
+
+
+def engine_fn(name: str):
+    """ENGINES[name]'s function, looked up at call time, so that an engine
+    rebound on its module (as perfbench's tracer does) is the one that runs."""
+    module, fn = ENGINES[name]
+    return getattr(import_module(f".{module}", __package__), fn)
 
 
 def _decimal(t: int) -> str:
@@ -80,6 +86,7 @@ def _load_cached(path: Path, m: int, engine: str, N: int) -> list[int] | None:
         vals = [int(Decimal(t)) for t in cached["terms"]]
     if vals[0] != 1 or any(a > b for a, b in zip(vals, vals[1:])):
         return None
+    from . import core
     bells = core.bell_numbers(len(vals) - 1)
     for n, v in enumerate(vals):
         if v > bells[n] or (n < 2 * (m + 1) and v != bells[n]):
@@ -110,9 +117,10 @@ def cmd_sequence(args) -> int:
     terms = _load_cached(cache_path, m, engine, N) if cache_path else None
     if terms is None:
         start = time.monotonic()
-        terms = engines()[engine](m, N)
+        terms = engine_fn(engine)(m, N)
         wall = round(time.monotonic() - start, 6)
         if cache_path is not None:
+            from datetime import datetime, timezone
             stamp = datetime.now(timezone.utc).isoformat()
             _store_cached(cache_path, _make_record(m, engine, terms, stamp, wall))
     record = _make_record(m, engine, terms)
@@ -128,6 +136,7 @@ def cmd_sequence(args) -> int:
 def cmd_labels(args) -> int:
     m, n = args.max_nesting, args.size
     if args.engine == "oracle":
+        from . import core
         dist = core.label_distribution(n, m)
     else:
         ms = None
@@ -146,6 +155,7 @@ def cmd_labels(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    from . import core
     n = args.size
     joint = core.joint_nesting_crossing(n)
     sys.stdout.write("nesting,crossing,count\n")
@@ -187,22 +197,21 @@ def _suite_table1(m, N):
 def _suite_cross_engine(m, N):
     m = 2 if m is None else m
     N = N if N is not None else 10
-    fns = engines()
-    ref = fns.pop("gtree")(m, N)
-    del fns["oracle"]  # exhaustive: the oracle suite checks it at oracle scale
+    ref = engine_fn("gtree")(m, N)
     return [
-        _agree(f"cross-engine {name}", fn(m, N), ref, f"m={m}, N={N} vs gtree")
-        for name, fn in fns.items()
+        _agree(f"cross-engine {name}", engine_fn(name)(m, N), ref, f"m={m}, N={N} vs gtree")
+        for name in ENGINES
+        if name not in ("gtree", "oracle")  # exhaustive: the oracle suite checks it at oracle scale
     ]
 
 
 def _suite_oracle(m, N):
     m = 2 if m is None else m
     N = N if N is not None else 9
-    want = core.nonnesting_sequence(m, N)
+    want = engine_fn("oracle")(m, N)
     return [
-        _agree(f"oracle vs {name}", fn(m, N), want, f"m={m}, n<={N}")
-        for name, fn in engines().items()
+        _agree(f"oracle vs {name}", engine_fn(name)(m, N), want, f"m={m}, n<={N}")
+        for name in ENGINES
         if name != "oracle"
     ]
 
@@ -210,6 +219,7 @@ def _suite_oracle(m, N):
 def _suite_catalan(m, N):
     if m not in (None, 1):
         raise ValueError(f"catalan is the m = 1 suite, not m = {m}")
+    from . import formulas
     N = N if N is not None else 30
     closed = [formulas.catalan(n) for n in range(N + 1)]
     return [
@@ -221,6 +231,7 @@ def _suite_catalan(m, N):
 
 
 def _suite_labels(m, N):
+    from . import core
     m = 2 if m is None else m
     N = N if N is not None else 8
     core.check_oracle_scale(N)
@@ -238,6 +249,7 @@ def _suite_labels(m, N):
 
 
 def _suite_equidistribution(m, N):
+    from . import core
     m = 4 if m is None else m
     N = N if N is not None else 10
     return [
@@ -248,6 +260,7 @@ def _suite_equidistribution(m, N):
 
 
 def _suite_bell_prefix(m, N):
+    from . import core
     m = 6 if m is None else m
     out = []
     for mm in range(1, m + 1):
@@ -269,6 +282,7 @@ def _suite_m2_formula(m, N):
     N = N if N is not None else 10
     if N > len(TABLE1[2]):
         raise ValueError(f"m2-formula's reference row covers n <= {len(TABLE1[2])}, not n = {N}")
+    from . import formulas
     marginals = [gtree.marginal(ms, 2) for ms in gtree.levels(2, N)]
     first = [formulas.m2_first_term(n) for n in range(13)]
     oracle = [formulas.ct_reference("first", n) for n in range(13)]
@@ -337,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="largest size N; output rows run n=0..N (n=0 has count 1)",
     )
-    p_seq.add_argument("--engine", choices=engines(), default="gtree")
+    p_seq.add_argument("--engine", choices=ENGINES, default="gtree")
     p_seq.add_argument("--format", choices=("json", "csv"), default="csv")
     p_seq.add_argument("--cache-dir", default=None, help="cache file m{M}_{engine}.json")
     p_seq.set_defaults(fn=cmd_sequence)

@@ -81,9 +81,9 @@ key field is a coordinate of a full label, so the key bound is unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+from io import BytesIO
+from itertools import accumulate, repeat
 
 
 def label_children(lab: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -108,7 +108,6 @@ def label_children(lab: tuple[int, ...]) -> list[tuple[int, ...]]:
 _W0 = 64  # the root's field width in bits; next_level widens it as counts grow
 
 
-@dataclass(frozen=True)
 class LabelMultiset:
     """One generating-tree level, held as rows: field i (bits w*i ..
     w*i + w - 1) of the int rows[key], where key packs (a_1,..,a_{m-1}) at
@@ -127,11 +126,8 @@ class LabelMultiset:
     total is the full level's.
     """
 
-    m: int
-    level: int
-    rows: dict
-    w: int
-    k: int
+    def __init__(self, m: int, level: int, rows: dict, w: int, k: int):
+        self.m, self.level, self.rows, self.w, self.k = m, level, rows, w, k
 
     @cached_property
     def counts(self) -> dict:
@@ -175,23 +171,27 @@ def _unpack(key: int, k: int, n: int) -> tuple[int, ...]:
 
 def _widen(rows: dict, old: int, w: int) -> dict:
     """rows with every field moved from old to w bits, whole level at once:
-    the rows' old fields as one little-endian buffer, one strided copy per
-    byte lane of a field into a zeroed buffer of w-bit fields, and each row
-    read back from its slice. Both widths are multiples of 8, so the ints are
-    those of padding each field with zero bytes."""
+    each row's old fields written in turn into one preallocated little-endian
+    buffer, one strided copy per byte lane of a field into a zeroed buffer of
+    w-bit fields, and each row read back from its slice, last row first,
+    cutting the buffer as it goes (a bytearray cut below half full
+    reallocates down), so the new buffer is never held whole beside all the
+    new rows. Both widths are multiples of 8, so the ints are those of
+    padding each field with zero bytes."""
     a, b = old // 8, w // 8
-    fields = [-(-row.bit_length() // old) for row in rows.values()]
-    data = b"".join([row.to_bytes(f * a, "little") for row, f in zip(rows.values(), fields)])
+    sizes = [-(-row.bit_length() // old) * a for row in rows.values()]
+    out = BytesIO(bytes(sum(sizes)))  # its only reference: written in place
+    out.writelines(map(int.to_bytes, rows.values(), sizes, repeat("little")))
+    data = out.getvalue()  # the same bytes object, not a copy
     buf = bytearray(len(data) // a * b)
     for i in range(a):
         buf[i::b] = data[i::a]
-    del data  # free the old layout before the new rows are built
-    view = memoryview(buf)
-    sizes = [f * b for f in fields]
-    return {
-        key: int.from_bytes(view[end - n : end], "little")
-        for key, n, end in zip(rows, sizes, accumulate(sizes))
-    }
+    del out, data  # free the old layout before the new rows are built
+    new = []
+    for start in reversed(list(accumulate((n // a * b for n in sizes), initial=0))[:-1]):
+        new.append(int.from_bytes(buf[start:], "little"))
+        del buf[start:]
+    return dict(zip(rows, reversed(new)))
 
 
 def _suffix_sums(row: int, w: int) -> int:

@@ -116,7 +116,6 @@ exponent of -1 raises SeriesConsistencyError.
 from __future__ import annotations
 
 from collections import defaultdict
-from fractions import Fraction
 from itertools import accumulate
 from math import comb
 
@@ -430,6 +429,7 @@ def v_identity_check(m: int, N: int, sample_points) -> bool:
     enlarged weight bound so coefficients through t^N are complete. True
     iff every t-coefficient agrees at every point.
     """
+    from fractions import Fraction
     pts = [tuple(Fraction(c) for c in pt) for pt in sample_points]
     us = []
     for pt in pts:

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import subprocess
 import sys
 
 import pytest
@@ -456,6 +457,40 @@ class TestUsageErrors:
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+class TestImports:
+    # A CLI call pays for every module it imports; each command imports only
+    # what it runs. Checked in a fresh interpreter, against the modules its
+    # startup had already loaded.
+    HEAVY = ("nestcount.core", "nestcount.formulas", "dataclasses", "inspect",
+             "fractions", "decimal", "datetime")
+    CHILD = (
+        "import contextlib, io, sys\n"
+        "before = set(sys.modules)\n"
+        "from nestcount.cli import main\n"
+        "for argv in sys.argv[1:]:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv.split()) == 0\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+
+    def loaded(self, *argvs):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(gtree.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", self.CHILD, *argvs], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return set(proc.stdout.split())
+
+    def test_sequence_engines_load_no_heavy_module(self):
+        new = self.loaded(*(f"sequence -m 2 -n 5 --engine {e}" for e in ("gtree", "useries", "xseries")))
+        assert {"nestcount.gtree", "nestcount.series"} <= new
+        assert sorted(new.intersection(self.HEAVY)) == []
+
+    def test_stats_loads_core_not_formulas(self):
+        new = self.loaded("stats -n 4")
+        assert "nestcount.core" in new and "nestcount.formulas" not in new
 
 
 class TestDeterminism:

@@ -1,6 +1,6 @@
 import pytest
 
-from nestcount import formulas, gtree
+from nestcount import core, formulas, gtree, series
 from nestcount.formulas import (
     catalan,
     catalan_convolution_check,
@@ -102,3 +102,21 @@ class TestM1SeriesCheck:
         catalan = formulas.catalan
         monkeypatch.setattr(formulas, "catalan", lambda k: catalan(k) + (k == 3))
         assert not m1_series_check(8)
+
+
+class TestM2Recurrence:
+    # The m = 2 counts satisfy the P-recurrence
+    # (n+6)(n+7) a(n+2) = 2(5n^2+32n+42) a(n+1) - 9n(n+3) a(n), a(0) = a(1) = 1,
+    # checked term by term; it shares no code with any engine.
+    @pytest.mark.parametrize(
+        "fn, N",
+        [(gtree.sequence, 100), (series.u_engine, 100), (series.x_engine, 100),
+         (core.nonnesting_sequence, 10)],
+        ids=["gtree", "useries", "xseries", "oracle"],
+    )
+    def test_engine_satisfies_recurrence(self, fn, N):
+        a = fn(2, N)
+        assert len(a) == N + 1 and a[:2] == [1, 1]
+        for n in range(N - 1):
+            lhs = (n + 6) * (n + 7) * a[n + 2]
+            assert lhs == 2 * (5 * n * n + 32 * n + 42) * a[n + 1] - 9 * n * (n + 3) * a[n], n

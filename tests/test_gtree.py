@@ -1,4 +1,6 @@
 import random
+import tracemalloc
+from itertools import accumulate
 
 import pytest
 
@@ -13,6 +15,23 @@ def widen_by_field(rows, old, w):
     return {
         key: int.from_bytes(b"".join(f + pad for f in gtree._fields(row, old)), "little")
         for key, row in rows.items()
+    }
+
+
+def widen_joined(rows, old, w):
+    """Reference: the whole-level re-layout as first written, from the join
+    of a list of every row's bytes rather than one preallocated buffer."""
+    a, b = old // 8, w // 8
+    fields = [-(-row.bit_length() // old) for row in rows.values()]
+    data = b"".join([row.to_bytes(f * a, "little") for row, f in zip(rows.values(), fields)])
+    buf = bytearray(len(data) // a * b)
+    for i in range(a):
+        buf[i::b] = data[i::a]
+    view = memoryview(buf)
+    sizes = [f * b for f in fields]
+    return {
+        key: int.from_bytes(view[end - n : end], "little")
+        for key, n, end in zip(rows, sizes, accumulate(sizes))
     }
 
 
@@ -203,7 +222,7 @@ class TestRelayout:
             rows[key] = sum(f << old * i for i, f in enumerate(fields))
         rows[40] = 0
         got = gtree._widen(rows, old, w)
-        assert got == widen_by_field(rows, old, w)
+        assert got == widen_by_field(rows, old, w) == widen_joined(rows, old, w)
         assert list(got) == list(rows)
 
     @pytest.mark.parametrize("old,w", WIDENINGS)
@@ -211,6 +230,25 @@ class TestRelayout:
         row = sum(((1 << old) - 1 - i) << old * i for i in range(30))  # as an m = 1 level
         assert gtree._widen({0: row}, old, w) == widen_by_field({0: row}, old, w)
         assert gtree._widen({}, old, w) == {}
+
+    def test_widen_peak_memory(self):
+        # 64 rows of 1000 fields, widened 64 -> 80 bits as the first
+        # widening of a run. The peak may hold the old and the new layout,
+        # two copies of one byte lane of the old (the strided copy's source)
+        # and one row, plus 16 KiB: not the new layout beside all the new rows.
+        rng = random.Random(5)
+        old, w = 64, 80
+        rows = {key: rng.getrandbits(old * 1000) | 1 << old * 1000 - 1 for key in range(64)}
+        old_bytes, new_bytes = 64 * 1000 * old // 8, 64 * 1000 * w // 8
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            got = gtree._widen(rows, old, w)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert got == widen_joined(rows, old, w)
+        assert peak < old_bytes + new_bytes + 2 * old_bytes // (old // 8) + 1000 * w // 8 + 16384
 
 
 class TestSequence:
