@@ -11,18 +11,20 @@ Imports: each command imports only the modules it runs, since every module
 imported is loaded again at each start. gtree (the default engine, which
 most verify suites call) and series (the series engines, and main's
 SeriesConsistencyError) load with this module, so that no call pays their
-load; core, formulas and datetime are imported where they are used.
+load; core, formulas, json and datetime are imported where they are used.
+Arguments are read from the COMMANDS table by _parse, not by argparse,
+whose import and parser build took about half the time of a
+`sequence -m 2 -n 31 --engine xseries` call.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import sys
 import time
 from importlib import import_module
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import __version__, gtree, series
 from .series import SeriesConsistencyError
@@ -63,6 +65,7 @@ def _load_cached(path: Path, m: int, engine: str, N: int) -> list[int] | None:
     of this version, m and engine with at least N + 1 terms that pass cheap
     consistency checks: ASCII decimal digits, of any length, starting at 1,
     nondecreasing, and the Bell-prefix relation where it applies."""
+    import json
     try:
         cached = json.loads(path.read_bytes())
     except (OSError, ValueError, RecursionError):
@@ -96,6 +99,7 @@ def _load_cached(path: Path, m: int, engine: str, N: int) -> list[int] | None:
 
 def _store_cached(path: Path, record: dict) -> None:
     """Atomic write (a pid-suffixed sibling, then os.replace): no torn file."""
+    import json
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
         tmp.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
@@ -129,6 +133,7 @@ def cmd_sequence(args) -> int:
         for n, t in enumerate(record["terms"]):
             sys.stdout.write(f"{n},{t}\n")
     else:
+        import json
         sys.stdout.write(json.dumps(record, indent=2, sort_keys=True) + "\n")
     return 0
 
@@ -145,6 +150,7 @@ def cmd_labels(args) -> int:
         dist = ms.counts
     rows = [("[" + ",".join(map(str, k)) + "]", _decimal(c)) for k, c in sorted(dist.items())]
     if args.format == "json":
+        import json
         payload = {"m": m, "n": n, "labels": dict(rows)}
         sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     else:
@@ -329,54 +335,121 @@ def cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="nestcount",
-        description="Exact counting of set partitions avoiding an (m+1)-nesting.",
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+# ---------------------------------------------------------------------------
+# arguments: one table, read by _parse and by the help text
 
-    mn_help = (
-        "bound m on the maximal nesting number; counts partitions avoiding "
-        "an (m+1)-nesting"
-    )
+REQUIRED = object()  # the default of an option that must be given
+M_HELP = "bound m on the maximal nesting number; counts partitions avoiding an (m+1)-nesting"
 
-    p_seq = sub.add_parser("sequence", help="compute a counting sequence")
-    p_seq.add_argument("--max-nesting", "-m", type=int, required=True, help=mn_help)
-    p_seq.add_argument(
-        "--terms",
-        "-n",
-        type=int,
-        required=True,
-        help="largest size N; output rows run n=0..N (n=0 has count 1)",
-    )
-    p_seq.add_argument("--engine", choices=ENGINES, default="gtree")
-    p_seq.add_argument("--format", choices=("json", "csv"), default="csv")
-    p_seq.add_argument("--cache-dir", default=None, help="cache file m{M}_{engine}.json")
-    p_seq.set_defaults(fn=cmd_sequence)
+# Command name -> (function, help line, options). An option is (long name,
+# short name or None, kind, default or REQUIRED, help): kind is int, str or
+# the tuple or dict of the values allowed. Its value is stored under _dest
+# of its long name, as argparse named it.
+COMMANDS = {
+    "sequence": (cmd_sequence, "compute a counting sequence", (
+        ("--max-nesting", "-m", int, REQUIRED, M_HELP),
+        ("--terms", "-n", int, REQUIRED, "largest size N; output rows run n=0..N (n=0 has count 1)"),
+        ("--engine", None, ENGINES, "gtree", ""),
+        ("--format", None, ("json", "csv"), "csv", ""),
+        ("--cache-dir", None, str, None, "cache file m{M}_{engine}.json"),
+    )),
+    "verify": (cmd_verify, "run a verification suite", (
+        ("--suite", None, SUITES, REQUIRED, ""),
+        ("--max-nesting", "-m", int, None, M_HELP),
+        ("--terms", "-n", int, None, ""),
+    )),
+    "labels": (cmd_labels, "dump a label distribution", (
+        ("--max-nesting", "-m", int, REQUIRED, M_HELP),
+        ("--size", "-n", int, REQUIRED, ""),
+        ("--engine", None, ("gtree", "oracle"), "gtree", ""),
+        ("--format", None, ("json", "csv"), "csv", ""),
+    )),
+    "stats": (cmd_stats, "joint nesting/crossing distribution", (
+        ("--size", "-n", int, REQUIRED, ""),
+    )),
+}
 
-    p_ver = sub.add_parser("verify", help="run a verification suite")
-    p_ver.add_argument("--suite", choices=SUITES, required=True)
-    p_ver.add_argument("--max-nesting", "-m", type=int, default=None, help=mn_help)
-    p_ver.add_argument("--terms", "-n", type=int, default=None)
-    p_ver.set_defaults(fn=cmd_verify)
 
-    p_lab = sub.add_parser("labels", help="dump a label distribution")
-    p_lab.add_argument("--max-nesting", "-m", type=int, required=True, help=mn_help)
-    p_lab.add_argument("--size", "-n", type=int, required=True)
-    p_lab.add_argument("--engine", choices=("gtree", "oracle"), default="gtree")
-    p_lab.add_argument("--format", choices=("json", "csv"), default="csv")
-    p_lab.set_defaults(fn=cmd_labels)
+def _usage(message: str):
+    """A usage error: one line on stderr, exit code 2."""
+    sys.stderr.write(f"error: {message}\n")
+    raise SystemExit(2)
 
-    p_st = sub.add_parser("stats", help="joint nesting/crossing distribution")
-    p_st.add_argument("--size", "-n", type=int, required=True)
-    p_st.set_defaults(fn=cmd_stats)
-    return parser
+
+def _flags(long, short) -> str:
+    return f"{short}/{long}" if short else long
+
+
+def _dest(long) -> str:
+    return long[2:].replace("-", "_")
+
+
+def _help(command=None) -> str:
+    """Usage of the program, or of one command, read from COMMANDS."""
+    if command is None:
+        lines = ["usage: nestcount [-h] [--version] COMMAND [options]", "",
+                 "Exact counting of set partitions avoiding an (m+1)-nesting.", "",
+                 "commands (nestcount COMMAND -h lists its options):"]
+        lines += [f"  {name:<10}{text}" for name, (_, text, _) in COMMANDS.items()]
+        return "\n".join(lines) + "\n"
+    _, text, options = COMMANDS[command]
+    lines = [f"usage: nestcount {command} [-h] [options]", "", text, "", "options:"]
+    for long, short, kind, default, about in options:
+        value = _dest(long).upper() if kind in (int, str) else "{" + ",".join(kind) + "}"
+        when = "required" if default is REQUIRED else "optional" if default is None else f"default {default}"
+        lines.append(f"  {_flags(long, short)} {value}  ({when}) {about}".rstrip())
+    return "\n".join(lines) + "\n"
+
+
+def _parse(argv: list[str]):
+    """argv read against COMMANDS: a namespace of the command, its function
+    (fn) and every option's value. Takes --opt value, --opt=value and
+    -x value, the last of a repeated option winning; -h/--help and --version
+    print to stdout and exit 0, and anything else exits through _usage."""
+    if not argv:
+        _usage(f"missing command: one of {', '.join(COMMANDS)}")
+    command, rest = argv[0], iter(argv[1:])
+    if command in ("-h", "--help", "--version"):
+        sys.stdout.write(f"{__version__}\n" if command == "--version" else _help())
+        raise SystemExit(0)
+    if command.startswith("-"):
+        _usage(f"unknown option {command!r}")
+    if command not in COMMANDS:
+        _usage(f"unknown command {command!r}: one of {', '.join(COMMANDS)}")
+    fn, _, options = COMMANDS[command]
+    by_name = {name: opt for opt in options for name in opt[:2] if name}
+    values = {}
+    for tok in rest:
+        if tok in ("-h", "--help"):
+            sys.stdout.write(_help(command))
+            raise SystemExit(0)
+        name, eq, text = tok.partition("=") if tok.startswith("--") else (tok, "", "")
+        if name not in by_name:
+            _usage(f"unknown option {name!r}" if tok.startswith("-") else f"unexpected argument {tok!r}")
+        long, short, kind, _, _ = by_name[name]
+        if not eq:
+            text = next(rest, None)
+            # a value may be a negative integer, but no other option-like token
+            if text is None or text.startswith("-") and not text[1:].isdecimal():
+                _usage(f"option {_flags(long, short)} needs a value")
+        if kind is int:
+            try:
+                text = int(text)
+            except ValueError:
+                _usage(f"option {_flags(long, short)}: {text!r} is not an integer")
+        elif kind is not str and text not in kind:
+            _usage(f"option {_flags(long, short)}: {text!r} is not one of {', '.join(kind)}")
+        values[_dest(long)] = text
+    for long, short, _, default, _ in options:
+        if _dest(long) not in values:
+            if default is REQUIRED:
+                _usage(f"missing option {_flags(long, short)}")
+            values[_dest(long)] = default
+    return SimpleNamespace(command=command, fn=fn, **values)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     m = getattr(args, "max_nesting", None)
     n = getattr(args, "terms", getattr(args, "size", None))
     n_min = 1 if args.command == "verify" else 0  # a suite at n = 0 checks nothing

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -7,7 +8,8 @@ import sys
 import pytest
 
 from nestcount import __version__, core, formulas, gtree, series
-from nestcount.cli import main
+from nestcount.cli import (COMMANDS, ENGINES, SUITES, _parse, cmd_labels, cmd_sequence,
+                           cmd_stats, cmd_verify, main)
 
 
 def run_cli(capsys, *argv):
@@ -458,13 +460,206 @@ class TestUsageErrors:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv, token",
+        [
+            (["frob", "-n", "3"], "frob"),
+            ([], "command"),
+            (["--bogus", "sequence"], "--bogus"),
+            (["sequence", "-m", "2", "-n", "3", "--bogus", "1"], "--bogus"),
+            (["sequence", "-m", "2", "-n"], "-n"),
+            (["sequence", "-m", "-n", "3"], "-m"),
+            (["sequence", "-m", "x", "-n", "3"], "'x'"),
+            (["sequence", "-m", "2", "-n", "3", "--engine", "magic"], "'magic'"),
+            (["labels", "-m", "2", "-n", "3", "--format", "xml"], "'xml'"),
+            (["verify", "--suite", "nope"], "'nope'"),
+            (["verify", "--suite", "table1", "--terms=x"], "'x'"),
+            (["sequence", "-n", "3"], "--max-nesting"),
+            (["sequence", "-m", "2"], "--terms"),
+            (["labels", "-m", "2"], "--size"),
+            (["stats"], "--size"),
+            (["verify", "-m", "2"], "--suite"),
+            (["stats", "-n", "3", "extra"], "'extra'"),
+            (["sequence", "--max", "2", "-n", "3"], "--max"),
+            (["sequence", "-m", "2", "-n", "3", "--version"], "--version"),
+        ],
+        ids=["unknown-command", "no-command", "unknown-top-option", "unknown-option",
+             "no-value-at-end", "no-value-before-option", "non-integer", "unknown-engine",
+             "unknown-format", "unknown-suite", "non-integer-joined", "missing-m",
+             "missing-n", "missing-size", "stats-missing-size", "missing-suite",
+             "stray-positional", "abbreviation", "version-after-command"],
+    )
+    def test_parse_error_is_one_line(self, capsys, argv, token):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert token in captured.err
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    """The argparse parser the CLI once built, kept as the reference that
+    _parse must agree with on every valid argv."""
+    parser = argparse.ArgumentParser(
+        prog="nestcount",
+        description="Exact counting of set partitions avoiding an (m+1)-nesting.",
+    )
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    mn_help = (
+        "bound m on the maximal nesting number; counts partitions avoiding "
+        "an (m+1)-nesting"
+    )
+
+    p_seq = sub.add_parser("sequence", help="compute a counting sequence")
+    p_seq.add_argument("--max-nesting", "-m", type=int, required=True, help=mn_help)
+    p_seq.add_argument(
+        "--terms",
+        "-n",
+        type=int,
+        required=True,
+        help="largest size N; output rows run n=0..N (n=0 has count 1)",
+    )
+    p_seq.add_argument("--engine", choices=ENGINES, default="gtree")
+    p_seq.add_argument("--format", choices=("json", "csv"), default="csv")
+    p_seq.add_argument("--cache-dir", default=None, help="cache file m{M}_{engine}.json")
+    p_seq.set_defaults(fn=cmd_sequence)
+
+    p_ver = sub.add_parser("verify", help="run a verification suite")
+    p_ver.add_argument("--suite", choices=SUITES, required=True)
+    p_ver.add_argument("--max-nesting", "-m", type=int, default=None, help=mn_help)
+    p_ver.add_argument("--terms", "-n", type=int, default=None)
+    p_ver.set_defaults(fn=cmd_verify)
+
+    p_lab = sub.add_parser("labels", help="dump a label distribution")
+    p_lab.add_argument("--max-nesting", "-m", type=int, required=True, help=mn_help)
+    p_lab.add_argument("--size", "-n", type=int, required=True)
+    p_lab.add_argument("--engine", choices=("gtree", "oracle"), default="gtree")
+    p_lab.add_argument("--format", choices=("json", "csv"), default="csv")
+    p_lab.set_defaults(fn=cmd_labels)
+
+    p_st = sub.add_parser("stats", help="joint nesting/crossing distribution")
+    p_st.add_argument("--size", "-n", type=int, required=True)
+    p_st.set_defaults(fn=cmd_stats)
+    return parser
+
+
+# Valid argvs: every command of the README and of CI, every argv the tests
+# and the benchmark pass to main, and the --opt=value and repeated forms.
+# Range errors (-n -1, -m 0) parse, and main rejects them after.
+PARSE_CORPUS = [
+    # README
+    "sequence --max-nesting 2 --terms 15",
+    "sequence -m 2 --terms 15 --engine xseries --format json",
+    "sequence -m 3 --terms 20 --cache-dir ./cache",
+    "verify --suite table1",
+    "verify --suite cross-engine -m 2 --terms 10",
+    "labels -m 2 -n 3",
+    "stats -n 6",
+    # CI
+    *(f"sequence -m 2 -n 10 --engine {e}" for e in ENGINES),
+    "labels -m 2 -n 5 --engine oracle",
+    "sequence -m 3 -n 12 --cache-dir cache",
+    *(f"verify --suite {s}" for s in ("catalan", "labels", "bell-prefix", "m2-formula",
+                                      "equidistribution")),
+    "verify --suite labels -m 3 -n 7",
+    "verify --suite m2-formula -n 15",
+    "verify --suite equidistribution -m 4 --terms 11",
+    "verify --suite oracle -m 2 --terms 11",
+    *(f"verify --suite cross-engine -m {m} --terms {n}" for m, n in (
+        (5, 24), (4, 14), (4, 30), (3, 40), (2, 62), (2, 150), (1, 100), (6, 16), (7, 16),
+        (3, 60), (5, 30), (2, 254), (3, 62), (6, 24), (7, 18))),
+    # benchmark workloads and its warm-up call
+    "sequence -m 2 --engine xseries -n 31",
+    "sequence -m 3 --engine useries -n 37",
+    "sequence -m 3 --engine gtree -n 30",
+    "stats -n 9",
+    "sequence -m 1 -n 1",
+    # tests
+    "sequence --max-nesting 1 --terms 5 --engine oracle",
+    "sequence --max-nesting 2 --terms 15 --engine gtree --format csv",
+    "sequence --max-nesting 3 --terms 0",
+    "sequence -m 2 --terms 6 --format json",
+    "sequence -m 2 -n 5",
+    "sequence -m 1 --terms 20 --engine oracle",
+    "sequence -m 2 --terms 10 --cache-dir cache",
+    "sequence -m 2 -n 400 --cache-dir cache",
+    "sequence -m 2 -n 3 --engine xseries",
+    "sequence -m 3 --terms 12 --format json",
+    "sequence -m 2 -n -1 --engine useries",
+    "sequence -m -1 -n 3 --engine oracle",
+    "verify --suite table1 --max-nesting 4 --terms 15",
+    "verify --suite bell-prefix --max-nesting 6 --terms 14",
+    "verify --suite equidistribution -m 2 -n 7",
+    "verify --suite table1 -m 9",
+    "verify --suite catalan -n 9",
+    "verify --suite m2-formula -n 8",
+    "verify --suite equidistribution -m -1",
+    "verify --suite m2-formula -n -1",
+    "labels -m 2 -n 0",
+    "labels -m 2 -n 3 --engine oracle --format json",
+    "labels -m 2 -n -1",
+    "stats -n 14",
+    # --opt=value
+    "sequence --max-nesting=2 --terms=15 --engine=xseries --format=json --cache-dir=cache",
+    "sequence -m 2 --terms=-1 --cache-dir=a=b",
+    "sequence -m 2 -n 3 --cache-dir=",
+    "verify --suite=oracle -m 2 --terms=11",
+    "labels --max-nesting=2 --size=3 --engine=oracle --format=csv",
+    "stats --size=6",
+    # repeated options: the last wins
+    "sequence -m 2 -m 3 -n 4 --terms 5",
+    "sequence --engine oracle -m 2 --engine xseries -n 3 --format json --format csv",
+    "verify --suite table1 --suite=oracle -n 3 -n 4",
+    "labels -m 2 --size 3 -n 4 --engine oracle --engine gtree",
+    "stats -n 3 --size 4",
+    # options in any order
+    "sequence --format json -n 3 --cache-dir cache -m 2",
+]
+
+
+class TestParse:
+    @pytest.mark.parametrize("argv", PARSE_CORPUS)
+    def test_agrees_with_reference(self, argv):
+        assert vars(_parse(argv.split())) == vars(reference_parser().parse_args(argv.split()))
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_help_names_every_command(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([flag])
+        out = capsys.readouterr().out
+        assert exc.value.code == 0
+        assert out.startswith("usage: nestcount ")
+        assert all(f"  {name} " in out for name in COMMANDS)
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_command_help_names_every_option(self, capsys, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([command, flag, "--bogus"])
+        out = capsys.readouterr().out
+        assert exc.value.code == 0
+        assert out.startswith(f"usage: nestcount {command} ")
+        for long, short, kind, _, _ in COMMANDS[command][2]:
+            assert long in out and (short is None or short in out)
+            assert kind in (int, str) or all(choice in out for choice in kind)
+
+    def test_version(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == f"{__version__}\n"
+
 
 class TestImports:
     # A CLI call pays for every module it imports; each command imports only
     # what it runs. Checked in a fresh interpreter, against the modules its
     # startup had already loaded.
     HEAVY = ("nestcount.core", "nestcount.formulas", "dataclasses", "inspect",
-             "fractions", "decimal", "datetime")
+             "fractions", "decimal", "datetime", "argparse", "gettext", "locale", "json")
     CHILD = (
         "import contextlib, io, sys\n"
         "before = set(sys.modules)\n"
@@ -490,7 +685,11 @@ class TestImports:
 
     def test_stats_loads_core_not_formulas(self):
         new = self.loaded("stats -n 4")
-        assert "nestcount.core" in new and "nestcount.formulas" not in new
+        # dataclasses and inspect come with core
+        assert sorted(new.intersection(self.HEAVY)) == ["dataclasses", "inspect", "nestcount.core"]
+
+    def test_csv_labels_loads_no_heavy_module(self):
+        assert sorted(self.loaded("labels -m 2 -n 5").intersection(self.HEAVY)) == []
 
 
 class TestDeterminism:
