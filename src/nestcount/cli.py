@@ -11,7 +11,8 @@ Imports: each command imports only the modules it runs, since every module
 imported is loaded again at each start. gtree (the default engine, which
 most verify suites call) and series (the series engines, and main's
 SeriesConsistencyError) load with this module, so that no call pays their
-load; core, formulas, json and datetime are imported where they are used.
+load; core, formulas, json, datetime and zlib are imported where they are
+used.
 Arguments are read from the COMMANDS table by _parse, not by argparse,
 whose import and parser build took about half the time of a
 `sequence -m 2 -n 31 --engine xseries` call.
@@ -60,11 +61,28 @@ def _make_record(m, engine, terms, timestamp=None, wall_time=None):
     return {"m": m, "engine": engine, "terms": [_decimal(t) for t in terms], "meta": meta}
 
 
-def _load_cached(path: Path, m: int, engine: str, N: int) -> list[int] | None:
+def _source_digest() -> int | None:
+    """zlib.crc32 over the bytes of this package's *.py files in sorted
+    order, or None if they cannot be read. A cache record carries the digest
+    of the code that wrote it, since __version__ does not move with every
+    change to the engines."""
+    import zlib
+    paths, crc = sorted(Path(__file__).parent.glob("*.py")), 0
+    try:
+        for path in paths:
+            crc = zlib.crc32(path.read_bytes(), crc)
+    except OSError:
+        return None
+    return crc if paths else None
+
+
+def _load_cached(path: Path, m: int, engine: str, N: int,
+                 digest: int | None) -> list[int] | None:
     """Counts 0..N from a cache file, or None unless it is a readable record
-    of this version, m and engine with at least N + 1 terms that pass cheap
-    consistency checks: ASCII decimal digits, of any length, starting at 1,
-    nondecreasing, and the Bell-prefix relation where it applies."""
+    of this version, source digest (never None), m and engine with at least
+    N + 1 terms that pass cheap consistency checks: ASCII decimal digits, of
+    any length, starting at 1, nondecreasing, and the Bell-prefix relation
+    where it applies."""
     import json
     try:
         cached = json.loads(path.read_bytes())
@@ -74,6 +92,8 @@ def _load_cached(path: Path, m: int, engine: str, N: int) -> list[int] | None:
         isinstance(cached, dict)
         and isinstance(cached.get("meta"), dict)
         and cached["meta"].get("version") == __version__
+        and digest is not None
+        and cached["meta"].get("source_crc32") == digest
         and cached.get("m") == m
         and cached.get("engine") == engine
         and isinstance(cached.get("terms"), list)
@@ -111,14 +131,15 @@ def _store_cached(path: Path, record: dict) -> None:
 
 def cmd_sequence(args) -> int:
     m, N, engine = args.max_nesting, args.terms, args.engine
-    cache_path = None
+    cache_path = digest = None
     if args.cache_dir:
         cache_path = Path(args.cache_dir) / f"m{m}_{engine}.json"
         try:
             cache_path.parent.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ValueError(f"cannot use --cache-dir {args.cache_dir}: {exc.strerror}") from None
-    terms = _load_cached(cache_path, m, engine, N) if cache_path else None
+        digest = _source_digest()
+    terms = _load_cached(cache_path, m, engine, N, digest) if cache_path else None
     if terms is None:
         start = time.monotonic()
         terms = engine_fn(engine)(m, N)
@@ -126,7 +147,9 @@ def cmd_sequence(args) -> int:
         if cache_path is not None:
             from datetime import datetime, timezone
             stamp = datetime.now(timezone.utc).isoformat()
-            _store_cached(cache_path, _make_record(m, engine, terms, stamp, wall))
+            stored = _make_record(m, engine, terms, stamp, wall)
+            stored["meta"]["source_crc32"] = digest  # in the file, not on stdout
+            _store_cached(cache_path, stored)
     record = _make_record(m, engine, terms)
     if args.format == "csv":
         sys.stdout.write("n,count\n")

@@ -8,7 +8,10 @@ consecutive elements of each block in numerical order; nesting and crossing
 statistics are read off that diagram. The oracle counts them in one walk
 over RGS prefixes that adds one arc per step and carries, per open block,
 its last element, the largest depth of an arc opening right of it and the
-patience tails of the arcs spanning it, so a step costs O(blocks); the
+patience tails of the arcs spanning it, so a step costs O(blocks). It
+places n - 1 and n together, reading their arcs' depths and crossings off
+the blocks of [n - 2] without building more, and tallies into a table of
+side n // 2 + 1, since a k-nesting or k-crossing needs 2k elements. The
 per-diagram functions are the definitions that walk is tested against.
 
 Everything here is exhaustive-enumeration scale (Bell-number growth); the
@@ -233,8 +236,8 @@ def check_oracle_scale(n):
 
 
 def _nesting_crossing_walk(n):
-    """Counter of (max_nesting, max_crossing) over all partitions of [n], by
-    one depth-first walk over restricted-growth prefixes.
+    """Dict of (max_nesting, max_crossing) -> count over all partitions of
+    [n], by one depth-first walk over restricted-growth prefixes.
 
     Joining i to a block with last element a closes (a, i) after every arc
     so far, so its depth is 1 + the largest depth of an arc opening right
@@ -249,20 +252,42 @@ def _nesting_crossing_walk(n):
     increasing order, so inserting each open as its arc closes builds the
     tails a batch pass in close order would. No closed arc opens at a, the
     last element of its block, and opens are distinct, so nothing ties.
-    The placements of n are counted without recursing.
+
+    n - 1 and n are placed together, building no blocks. After n - 1 joins
+    a, with maxima (ne', cr'): n alone and n joined to n - 1 add 2 at
+    (ne', cr'); n joined to l < a has depth max(deep + 1, dl) + 1 and
+    crossing len(tl) + 1; n joined to l > a has depth dl + 1 and crossing
+    len(tl) + 1, plus 1 iff a exceeds every tail of l (only then is a
+    appended). A k-nesting or k-crossing needs 2k elements, so the counts
+    go into a table of side n // 2 + 1.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n == 0:
-        return Counter({(0, 0): 1})
-    counts = Counter()
+    if n < 2:
+        return {(0, 0): 1}
+    tally = [[0] * (n // 2 + 1) for _ in range(n // 2 + 1)]
+
+    def leaf(blocks, ne, cr):
+        tally[ne][cr] += 1
+        for _, d, t in blocks:
+            d, c = d + 1, len(t) + 1
+            tally[d if d > ne else ne][c if c > cr else cr] += 1
 
     def grow(i, blocks, ne, cr):
-        if i == n:
-            counts[ne, cr] += 1
-            for _, d, t in blocks:
+        if i == n - 1:
+            leaf(blocks + [(i, 0, ())], ne, cr)
+            for a, d, t in blocks:
                 d, c = d + 1, len(t) + 1
-                counts[d if d > ne else ne, c if c > cr else cr] += 1
+                ne2, cr2 = (d if d > ne else ne), (c if c > cr else cr)
+                tally[ne2][cr2] += 2
+                for l, dl, tl in blocks:
+                    if l < a:
+                        e, c = (d if d > dl else dl) + 1, len(tl) + 1
+                    elif l > a:
+                        e, c = dl + 1, len(tl) + (not tl or tl[-1] < a) + 1
+                    else:
+                        continue
+                    tally[e if e > ne2 else ne2][c if c > cr2 else cr2] += 1
             return
         grow(i + 1, blocks + [(i, 0, ())], ne, cr)
         for a, d, t in blocks:
@@ -277,7 +302,7 @@ def _nesting_crossing_walk(n):
             grow(i + 1, kids, d if d > ne else ne, c if c > cr else cr)
 
     grow(1, [], 0, 0)
-    return counts
+    return {(ne, cr): c for ne, row in enumerate(tally) for cr, c in enumerate(row) if c}
 
 
 @lru_cache(maxsize=None)

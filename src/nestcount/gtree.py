@@ -267,6 +267,7 @@ def sequence(m: int, N: int) -> list[int]:
     """Counts of (m+1)-nonnesting partitions for sizes 0..N. After each
     step, level n keeps only its last max(1, N - n) label coordinates, which
     is all that the later levels read (module docstring)."""
+    m = min(m, max(1, N // 2))  # a k-nesting needs 2k elements; m < 1 still raises
     ms = root(m, N)
     out = [ms.total()]
     for _ in range(N):

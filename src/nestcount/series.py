@@ -241,6 +241,7 @@ def u_series(m: int, N: int) -> list[dict]:
 
 def u_engine(m: int, N: int) -> list[int]:
     """Counting sequence via the u-equation: P_n at u_1=..=u_m=1."""
+    m = min(m, max(1, N // 2))  # a k-nesting needs 2k elements; m < 1 still raises
     return [sum(p.values()) for p in _u_orders(m, N)]
 
 
@@ -404,6 +405,7 @@ def x_engine(m: int, N: int, check_stable: bool = False) -> list[int]:
     With check_stable, a second sweep at weight bound 2N must give the same
     counts; the bound N is exact for them, so only a truncation bug moves one.
     """
+    m = min(m, max(1, N // 2))  # a k-nesting needs 2k elements; m < 1 still raises
     zero = zero_mono(m)
     counts = [Fk.get(zero, 0) for Fk in x_series(m, N)]
     if check_stable:

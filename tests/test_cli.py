@@ -174,6 +174,57 @@ class TestCache:
         assert code == 0
         assert out.splitlines()[-1] == "6,202"
 
+    def stored_with_wrong_term_8(self, capsys, tmp_path):
+        """An m = 2 gtree record as a run writes it, with term 8 raised to 3931."""
+        run_cli(capsys, "sequence", "-m", "2", "-n", "8", "--cache-dir", str(tmp_path))
+        path = tmp_path / "m2_gtree.json"
+        record = json.loads(path.read_text())
+        assert record["terms"][8] == "3930"
+        record["terms"][8] = "3931"
+        path.write_text(json.dumps(record))
+        return path
+
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda meta: meta.update(source_crc32=meta["source_crc32"] ^ 1),
+         lambda meta: meta.pop("source_crc32"),
+         lambda meta: meta.update(source_crc32=str(meta["source_crc32"]))],
+        ids=["other-digest", "absent", "as-string"],
+    )
+    def test_other_source_record_recomputed(self, capsys, tmp_path, edit):
+        # same version, m and engine, but not written by this code
+        path = self.stored_with_wrong_term_8(capsys, tmp_path)
+        record = json.loads(path.read_text())
+        edit(record["meta"])
+        path.write_text(json.dumps(record))
+        code, out = run_cli(capsys, "sequence", "-m", "2", "-n", "8", "--cache-dir", str(tmp_path))
+        assert code == 0 and out.splitlines()[-1] == "8,3930"
+        assert json.loads(path.read_text())["terms"][8] == "3930"
+
+    def test_current_source_record_is_a_hit(self, capsys, tmp_path):
+        self.stored_with_wrong_term_8(capsys, tmp_path)
+        code, out = run_cli(capsys, "sequence", "-m", "2", "-n", "8", "--cache-dir", str(tmp_path))
+        assert code == 0 and out.splitlines()[-1] == "8,3931"
+
+    def test_unreadable_sources_never_hit(self, capsys, tmp_path, monkeypatch):
+        from nestcount import cli
+        path = self.stored_with_wrong_term_8(capsys, tmp_path)
+        monkeypatch.setattr(cli, "__file__", str(tmp_path / "gone" / "cli.py"))
+        _, out = run_cli(capsys, "sequence", "-m", "2", "-n", "8", "--cache-dir", str(tmp_path))
+        assert out.splitlines()[-1] == "8,3930"
+        # a second run with no readable sources recomputes again
+        path.write_text(path.read_text().replace('"3930"', '"3931"'))
+        _, out = run_cli(capsys, "sequence", "-m", "2", "-n", "8", "--cache-dir", str(tmp_path))
+        assert out.splitlines()[-1] == "8,3930"
+
+    def test_json_stdout_names_no_digest(self, capsys, tmp_path):
+        args = ["sequence", "-m", "2", "-n", "5", "--format", "json"]
+        _, fresh = run_cli(capsys, *args)
+        _, cached = run_cli(capsys, *args, "--cache-dir", str(tmp_path))
+        _, hit = run_cli(capsys, *args, "--cache-dir", str(tmp_path))
+        assert fresh == cached == hit
+        assert set(json.loads(hit)["meta"]) == {"version", "timestamp", "wall_time_s"}
+
     def test_cache_dir_is_a_file(self, capsys, tmp_path):
         target = tmp_path / "not-a-dir"
         target.write_text("")
@@ -659,7 +710,8 @@ class TestImports:
     # what it runs. Checked in a fresh interpreter, against the modules its
     # startup had already loaded.
     HEAVY = ("nestcount.core", "nestcount.formulas", "dataclasses", "inspect",
-             "fractions", "decimal", "datetime", "argparse", "gettext", "locale", "json")
+             "fractions", "decimal", "datetime", "argparse", "gettext", "locale", "json",
+             "zlib")
     CHILD = (
         "import contextlib, io, sys\n"
         "before = set(sys.modules)\n"
@@ -705,3 +757,10 @@ class TestDeterminism:
         _, out1 = run_cli(capsys, *argv)
         _, out2 = run_cli(capsys, *argv)
         assert out1.encode() == out2.encode()
+
+
+def test_cli_smoke_script_parses():
+    # tests/cli_smoke.sh is CI's packaging smoke run; bash -n reads it without running it
+    script = os.path.join(os.path.dirname(os.path.abspath(__file__)), "cli_smoke.sh")
+    proc = subprocess.run(["bash", "-n", script], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

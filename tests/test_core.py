@@ -304,6 +304,14 @@ class TestCounts:
         assert sum(nesting.values()) == bell_numbers(11)[n]
         assert nesting == crossing
 
+    @pytest.mark.parametrize("n", range(12))
+    def test_walk_pairs_fit_half_n_and_are_nonempty(self, n):
+        # a k-nesting or a k-crossing needs 2k elements, and no pair is
+        # reported with a zero count
+        for (ne, cr), c in core.joint_nesting_crossing(n).items():
+            assert 0 <= ne <= n // 2 and 0 <= cr <= n // 2
+            assert c >= 1
+
     def test_patience_inserts_never_tie(self, monkeypatch):
         # No closed arc opens at a join's left end a, so a is never in the
         # tails it goes into and bisect_left and bisect_right agree.

@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from nestcount import gtree, series
+from nestcount import core, gtree, series
 from nestcount.polyops import (
     poly_mul,
     poly_sub,
@@ -735,3 +735,32 @@ class TestCrossEngine:
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
     def test_engines_agree(self, m):
         assert u_engine(m, 10) == x_engine(m, 10) == gtree.sequence(m, 10)
+
+    @pytest.mark.parametrize("engine", [gtree.sequence, u_engine, x_engine])
+    @pytest.mark.parametrize("m, N", [(2, 0), (2, 1), (3, 5), (7, 12), (40, 4)])
+    def test_bell_past_half_n(self, engine, m, N):
+        # an m-nesting needs 2m elements, so past m = N // 2 every count is Bell
+        assert engine(m, N) == core.bell_numbers(N)
+
+    @pytest.mark.parametrize("m, N, ran", [(9, 8, 4), (9, 3, 1), (4, 8, 4), (2, 9, 2)])
+    def test_engines_run_at_clamped_m(self, monkeypatch, m, N, ran):
+        seen = {"gtree": set(), "u": set(), "x": set()}
+        root, u_step, x_step = gtree.root, series._u_step, series._x_step
+
+        def gtree_root(m, N):
+            seen["gtree"].add(m)
+            return root(m, N)
+
+        def recorded_u_step(p, m, w):
+            seen["u"].add(m)
+            return u_step(p, m, w)
+
+        def recorded_x_step(F, H, k, m, W):
+            seen["x"].add(m)
+            return x_step(F, H, k, m, W)
+
+        monkeypatch.setattr(gtree, "root", gtree_root)
+        monkeypatch.setattr(series, "_u_step", recorded_u_step)
+        monkeypatch.setattr(series, "_x_step", recorded_x_step)
+        assert gtree.sequence(m, N) == u_engine(m, N) == x_engine(m, N)
+        assert seen == {"gtree": {ran}, "u": {ran}, "x": {ran}}
