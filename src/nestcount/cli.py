@@ -29,7 +29,7 @@ from types import SimpleNamespace
 
 from . import __version__, gtree, series
 from .series import SeriesConsistencyError
-from .table1 import OEIS_IDS, TABLE1
+from .table1 import OEIS_IDS, TABLE1, bell_numbers
 
 
 # Engine name -> (module, function) of fn(m, N), the counts for sizes 0..N.
@@ -109,8 +109,7 @@ def _load_cached(path: Path, m: int, engine: str, N: int,
         vals = [int(Decimal(t)) for t in cached["terms"]]
     if vals[0] != 1 or any(a > b for a, b in zip(vals, vals[1:])):
         return None
-    from . import core
-    bells = core.bell_numbers(len(vals) - 1)
+    bells = bell_numbers(len(vals) - 1)
     for n, v in enumerate(vals):
         if v > bells[n] or (n < 2 * (m + 1) and v != bells[n]):
             return None
@@ -289,13 +288,12 @@ def _suite_equidistribution(m, N):
 
 
 def _suite_bell_prefix(m, N):
-    from . import core
     m = 6 if m is None else m
     out = []
     for mm in range(1, m + 1):
         top = N if N is not None else 2 * mm + 2
         last = min(top, 2 * mm + 2)  # the last n checked: Bell-1 at 2m+2
-        want = core.bell_numbers(last)
+        want = bell_numbers(last)
         detail = f"m={mm}: equals Bell for n<=min({top},{2 * mm + 1})"
         if last == 2 * mm + 2:
             want[-1] -= 1

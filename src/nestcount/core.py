@@ -22,27 +22,61 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
+
+from .table1 import bell_numbers  # re-exported as core.bell_numbers
 
 #: Largest n the exhaustive oracle accepts by default. Bell(13) ~ 27.6M
 #: items is the practical desk-scale ceiling.
 ORACLE_LIMIT = 13
 
 
-@dataclass(frozen=True)
-class SetPartition:
+class _Frozen:
+    """An immutable value over the fields named in __slots__, each set once
+    by __init__: equal and hashed by its fields, with a dataclass-style repr.
+    A plain class, since importing dataclasses took over half of core's
+    import time."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class SetPartition(_Frozen):
     """A set partition of [n] in restricted-growth encoding."""
 
-    rgs: tuple[int, ...]
+    __slots__ = ("rgs",)
 
-    def __post_init__(self):
+    def __init__(self, rgs: tuple[int, ...]):
         mx = 0
-        for r in self.rgs:
+        for r in rgs:
             if not 1 <= r <= mx + 1:
-                raise ValueError(f"not a restricted-growth string: {self.rgs!r}")
+                raise ValueError(f"not a restricted-growth string: {rgs!r}")
             if r > mx:
                 mx = r
+        object.__setattr__(self, "rgs", rgs)
 
     @classmethod
     def from_blocks(cls, blocks) -> "SetPartition":
@@ -93,23 +127,23 @@ class SetPartition:
         return "|".join(" ".join(map(str, b)) for b in self.blocks())
 
 
-@dataclass(frozen=True)
-class ArcDiagram:
+class ArcDiagram(_Frozen):
     """Standard representation: arcs (i, j), i < j, sorted lexicographically."""
 
-    n: int
-    arcs: tuple[tuple[int, int], ...]
+    __slots__ = ("n", "arcs")
 
-    def __post_init__(self):
-        opens = [i for i, _ in self.arcs]
-        closes = [j for _, j in self.arcs]
+    def __init__(self, n: int, arcs: tuple[tuple[int, int], ...]):
+        opens = [i for i, _ in arcs]
+        closes = [j for _, j in arcs]
         if len(set(opens)) != len(opens) or len(set(closes)) != len(closes):
             raise ValueError("each vertex may open / close at most one arc")
-        for i, j in self.arcs:
-            if not 1 <= i < j <= self.n:
-                raise ValueError(f"bad arc ({i},{j}) for n={self.n}")
-        if list(self.arcs) != sorted(self.arcs):
+        for i, j in arcs:
+            if not 1 <= i < j <= n:
+                raise ValueError(f"bad arc ({i},{j}) for n={n}")
+        if list(arcs) != sorted(arcs):
             raise ValueError("arcs must be sorted")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "arcs", arcs)
 
 
 def standard_representation(p: SetPartition) -> ArcDiagram:
@@ -349,18 +383,3 @@ def joint_nesting_crossing(n: int) -> dict:
     """Map (max_nesting, max_crossing) -> count over all partitions of [n]."""
     check_oracle_scale(n)
     return dict(_joint_profile(n))
-
-
-def bell_numbers(N: int) -> list[int]:
-    """B_0..B_N by the Bell triangle; independent of any engine here."""
-    if N < 0:
-        raise ValueError("N must be >= 0")
-    out = [1]
-    row = [1]
-    for _ in range(N):
-        nxt = [row[-1]]
-        for v in row:
-            nxt.append(nxt[-1] + v)
-        out.append(nxt[0])
-        row = nxt
-    return out

@@ -65,6 +65,29 @@ with exact integer coefficients.
   coefficients are positive, so every running sum is > 0 once the top key
   is read, and the step only adds. `u_series` unpacks each order into
   exponent tuples.
+  `u_engine` projects its late orders as `gtree.sequence` projects its
+  levels. The children rule above is gtree's, and so is the argument in
+  gtree's module docstring. Let Q hold P_n summed over the first p - 1
+  exponents, keyed by (e_p, .., e_m). A step at m - p + 1 with e_0 := 1,
+  then a sum over Q's first exponent (each coefficient added into K >> w),
+  gives P_{n+1} summed over its first p exponents, with the same total. A
+  run to N reads only the sum of P_N, so P_n needs only its last
+  max(1, N - n) exponents. After each step `u_engine` sums u_1 away while
+  the order holds more. The width w stays; every exponent of Q is one of
+  P_n's. The guards hold on Q, whose keys are the tails (e_p, .., e_m) of
+  the labels e of L_n. (A) at Q's coordinate j < m - p + 1 is (A) at
+  e's coordinate j + p - 1 < m, and (B) reads the same last two
+  coordinates. With one coordinate left, Q's exponents are L_n's e_m,
+  which hold every value 2 .. n + 1 (the labels (x, .., x) of (F)) and
+  none above: no gap, as at m = 1. Q's first exponent, an e_p >= 2,
+  merges at 1 as e_1 does. So the top-key chain, the gap raise and the
+  coverage count apply as stated, and a step's error names the m it ran
+  at. `u_series`, and so `v_identity_check`, keep full orders.
+  Independence: gtree and the u-engine now share this argument, though no
+  code. If it were wrong, they would agree with each other on the last
+  m - 1 terms. The x-engine truncates by weight, a different mechanism,
+  and does not project, so only its cross-engine check and the table1
+  suite would catch it.
 
 * The x-engine solves the rearranged kernel-form equation
       F = s + s*t*h*F
@@ -215,8 +238,20 @@ def _u_step(p, m, w):
     return new
 
 
-def _u_orders(m, N):
-    """Yield P_0..P_N with packed keys, keeping only the order being built from."""
+def _drop_first(p, w):
+    """p summed over u_1: each coefficient added into K >> w, a series in the
+    last m - 1 exponents (module docstring)."""
+    out = {}
+    for K, c in p.items():
+        K >>= w
+        out[K] = out.get(K, 0) + c
+    return out
+
+
+def _u_orders(m, N, project=False):
+    """Yield P_0..P_N with packed keys, keeping only the order being built
+    from. With project, P_n keeps only its last max(1, N - n) exponents,
+    all that the sum of P_N reads; a step's errors name the m it ran at."""
     if m < 1:
         raise ValueError("m must be >= 1")
     if N < 0:
@@ -229,6 +264,8 @@ def _u_orders(m, N):
             p = _u_step(p, m, w)
         except SeriesConsistencyError as exc:
             raise SeriesConsistencyError(f"u-engine, m={m}, t-order {n}: {exc}") from exc
+        while project and m > max(1, N - n):
+            p, m = _drop_first(p, w), m - 1
         yield p
 
 
@@ -240,9 +277,10 @@ def u_series(m: int, N: int) -> list[dict]:
 
 
 def u_engine(m: int, N: int) -> list[int]:
-    """Counting sequence via the u-equation: P_n at u_1=..=u_m=1."""
+    """Counting sequence via the u-equation: P_n at u_1=..=u_m=1, with each
+    P_n summed over all but its last max(1, N - n) exponents."""
     m = min(m, max(1, N // 2))  # a k-nesting needs 2k elements; m < 1 still raises
-    return [sum(p.values()) for p in _u_orders(m, N)]
+    return [sum(p.values()) for p in _u_orders(m, N, project=True)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Reference counting data: partitions of [n] avoiding an (m+1)-nesting,
-m = 1..6, n = 1..15. Single source of truth for the `table1` verify suite.
+m = 1..6, n = 1..15. Single source of truth for the `table1` verify suite,
+and the Bell numbers that bound every count.
 
 The OEIS identifiers are recorded as metadata only; nothing here touches
 the network.
@@ -28,3 +29,18 @@ OEIS_IDS = {
     5: "A192127",
     6: "A192128",
 }
+
+
+def bell_numbers(N: int) -> list[int]:
+    """B_0..B_N by the Bell triangle; independent of any engine here."""
+    if N < 0:
+        raise ValueError("N must be >= 0")
+    out = [1]
+    row = [1]
+    for _ in range(N):
+        nxt = [row[-1]]
+        for v in row:
+            nxt.append(nxt[-1] + v)
+        out.append(nxt[0])
+        row = nxt
+    return out

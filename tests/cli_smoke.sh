@@ -71,6 +71,7 @@ nestcount verify --suite cross-engine -m 5 --terms 30
 nestcount verify --suite cross-engine -m 2 --terms 254
 nestcount verify --suite cross-engine -m 3 --terms 62
 nestcount verify --suite cross-engine -m 6 --terms 24
+nestcount verify --suite cross-engine -m 6 --terms 30  # the u-engine steps to t-orders 26..30 at m = 5..1
 nestcount verify --suite cross-engine -m 7 --terms 18
 python -c "from nestcount.series import v_identity_check as v; assert v(3, 14, [(1, 2, 3), (2, -1, 5)]) and v(2, 30, [(1, 2), (3, -2)])"
 nestcount verify --suite oracle -m 3 --terms 12

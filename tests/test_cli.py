@@ -737,8 +737,19 @@ class TestImports:
 
     def test_stats_loads_core_not_formulas(self):
         new = self.loaded("stats -n 4")
-        # dataclasses and inspect come with core
-        assert sorted(new.intersection(self.HEAVY)) == ["dataclasses", "inspect", "nestcount.core"]
+        assert sorted(new.intersection(self.HEAVY)) == ["nestcount.core"]
+
+    def test_cache_hit_loads_no_core(self, tmp_path):
+        # the hit's Bell bound comes from table1, which the CLI loads anyway
+        argv = f"sequence -m 3 -n 12 --cache-dir {tmp_path}"
+        self.loaded(argv)  # an earlier process writes the record
+        record = (tmp_path / "m3_gtree.json").read_bytes()
+        new = self.loaded(argv)
+        assert (tmp_path / "m3_gtree.json").read_bytes() == record  # read, not rewritten
+        assert "nestcount.core" not in new and "json" in new
+
+    def test_bell_prefix_suite_loads_no_heavy_module(self):
+        assert sorted(self.loaded("verify --suite bell-prefix -m 3").intersection(self.HEAVY)) == []
 
     def test_csv_labels_loads_no_heavy_module(self):
         assert sorted(self.loaded("labels -m 2 -n 5").intersection(self.HEAVY)) == []

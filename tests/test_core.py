@@ -1,3 +1,5 @@
+import copy
+import pickle
 from bisect import bisect_left
 from collections import Counter
 from itertools import combinations
@@ -137,6 +139,67 @@ class TestSetPartition:
             [4],
             [1],
         ]
+
+
+class TestValueClasses:
+    # SetPartition and ArcDiagram are plain __slots__ classes with the
+    # behaviour of frozen dataclasses (that core loads no dataclasses is
+    # checked in test_cli.py's TestImports)
+    @pytest.mark.parametrize(
+        "arcs,msg",
+        [
+            (((1, 3), (1, 4)), "at most one arc"),
+            (((1, 4), (2, 4)), "at most one arc"),
+            (((0, 2),), r"bad arc \(0,2\) for n=4"),
+            (((2, 5),), r"bad arc \(2,5\) for n=4"),
+            (((3, 3),), r"bad arc \(3,3\) for n=4"),
+            (((2, 4), (1, 3)), "arcs must be sorted"),
+        ],
+    )
+    def test_arc_diagram_validation(self, arcs, msg):
+        with pytest.raises(ValueError, match=msg):
+            ArcDiagram(4, arcs)
+
+    def test_equality_by_fields_and_class(self):
+        assert SetPartition((1, 2, 1)) == SetPartition(rgs=(1, 2, 1))
+        assert SetPartition((1, 2, 1)) != SetPartition((1, 2, 2))
+        assert SetPartition(()) != ()
+        assert ArcDiagram(4, ((1, 3),)) == ArcDiagram(n=4, arcs=((1, 3),))
+        assert ArcDiagram(3, ()) != ArcDiagram(4, ())
+        assert ArcDiagram(4, ((1, 3),)) != ArcDiagram(4, ((2, 4),))
+        assert standard_representation(RUNNING_EXAMPLE) == standard_representation(
+            SetPartition.from_blocks([[4], [3, 7], [1], [8, 6, 5, 2]])
+        )
+
+    def test_hash_follows_equality(self):
+        parts = [SetPartition(p.rgs) for p in enumerate_partitions(5)] * 2
+        assert len(set(parts)) == BELL[5]
+        diagrams = {standard_representation(p) for p in parts}
+        assert len(diagrams) == BELL[5]
+        assert hash(ArcDiagram(4, ((1, 3),))) == hash(ArcDiagram(4, ((1, 3),)))
+
+    def test_repr_is_dataclass_style(self):
+        assert repr(SetPartition((1, 2))) == "SetPartition(rgs=(1, 2))"
+        assert repr(ArcDiagram(4, ((1, 3), (2, 4)))) == "ArcDiagram(n=4, arcs=((1, 3), (2, 4)))"
+
+    @pytest.mark.parametrize(
+        "obj,field", [(SetPartition((1, 1)), "rgs"), (ArcDiagram(2, ((1, 2),)), "arcs")]
+    )
+    def test_immutable(self, obj, field):
+        before = repr(obj)
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+            setattr(obj, field, ())
+        with pytest.raises(AttributeError, match=f"cannot delete field '{field}'"):
+            delattr(obj, field)
+        with pytest.raises(AttributeError):
+            obj.extra = 1
+        assert repr(obj) == before
+        assert not hasattr(obj, "__dict__")
+
+    def test_pickle_and_copy_round_trip(self):
+        for obj in (RUNNING_EXAMPLE, standard_representation(RUNNING_EXAMPLE)):
+            assert pickle.loads(pickle.dumps(obj)) == obj
+            assert copy.copy(obj) == copy.deepcopy(obj) == obj
 
 
 class TestEnumeration:

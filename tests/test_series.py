@@ -396,6 +396,47 @@ class TestUEngine:
         assert unpacked(series._u_step(packed(P[3], 3), 3, 3), 3, 3) == P[4]
         assert calls == {"_shift": 1, "_merge_pair": 1, "_divide_by_var_minus_one": 3}
 
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_projected_engine_sums_full_orders(self, m):
+        # u_engine sums away u_1 while P_n has more than max(1, N - n)
+        # exponents; u_series keeps every order whole
+        sums = [sum(p.values()) for p in u_series(m, 16)]
+        for N in range(17):
+            assert u_engine(m, N) == sums[: N + 1]
+
+    def test_projected_engine_on_the_bench_window(self):
+        sums = [sum(p.values()) for p in u_series(3, 38)]
+        for N in (36, 37, 38):
+            assert u_engine(3, N) == sums[: N + 1]
+
+    def test_drop_first_sums_over_u1(self):
+        p = {(2, 3, 3): 4, (3, 3, 3): 5, (2, 2, 4): 6}
+        assert unpacked(series._drop_first(packed(p, 4), 4), 2, 4) == {(3, 3): 9, (2, 4): 6}
+
+    @pytest.mark.parametrize("ran,order", [(2, 7), (1, 8)])
+    def test_projected_order_missing_a_key_is_caught(self, monkeypatch, ran, order):
+        # u_engine(3, 8) steps at m = 3 to P_6, then at m = 2 and m = 1 from
+        # projected orders; one loses a key inside a u_m group, a gap
+        u_step = series._u_step
+
+        def drop_a_walked_key(p, m, w):
+            if m == ran:
+                # the least label above its u_m group's merge exponent and below its top
+                labels = {series._unpack(K, m, w) for K in p}
+                e = min(
+                    e for e in labels
+                    if e[-1] > (e[-2] if m > 1 else 1) and e[:-1] + (e[-1] + 1,) in labels
+                )
+                p = {K: c for K, c in p.items() if K != pack(e, w)}
+            return u_step(p, m, w)
+
+        monkeypatch.setattr(series, "_u_step", drop_a_walked_key)
+        with pytest.raises(SeriesConsistencyError) as info:
+            u_engine(3, 8)
+        msg = str(info.value)
+        for field in ("u-engine", f"m={ran}", f"t-order {order}", f"of u_{ran} missing"):
+            assert field in msg
+
     @pytest.mark.parametrize("m", range(1, 7))
     def test_pack_unpack_round_trip(self, m):
         for w in (1, 2, 6):
@@ -744,7 +785,8 @@ class TestCrossEngine:
 
     @pytest.mark.parametrize("m, N, ran", [(9, 8, 4), (9, 3, 1), (4, 8, 4), (2, 9, 2)])
     def test_engines_run_at_clamped_m(self, monkeypatch, m, N, ran):
-        seen = {"gtree": set(), "u": set(), "x": set()}
+        seen = {"gtree": set(), "x": set()}
+        u_ms = []
         root, u_step, x_step = gtree.root, series._u_step, series._x_step
 
         def gtree_root(m, N):
@@ -752,7 +794,7 @@ class TestCrossEngine:
             return root(m, N)
 
         def recorded_u_step(p, m, w):
-            seen["u"].add(m)
+            u_ms.append(m)
             return u_step(p, m, w)
 
         def recorded_x_step(F, H, k, m, W):
@@ -763,4 +805,6 @@ class TestCrossEngine:
         monkeypatch.setattr(series, "_u_step", recorded_u_step)
         monkeypatch.setattr(series, "_x_step", recorded_x_step)
         assert gtree.sequence(m, N) == u_engine(m, N) == x_engine(m, N)
-        assert seen == {"gtree": {ran}, "u": {ran}, "x": {ran}}
+        assert seen == {"gtree": {ran}, "x": {ran}}
+        # u_engine's late steps run on projected orders, below the clamp
+        assert u_ms[0] == max(u_ms) == ran
