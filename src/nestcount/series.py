@@ -128,8 +128,8 @@ with exact integer coefficients.
   next field. No field overflows: every key formed has degree <= W, so a
   field is <= W + m < 2^(w-1) for w = (W + m).bit_length() + 1. The guard
   adds 2^(w-1) - 1 to every field: all m spare top bits are then set iff
-  no field is 0. `x_series` unpacks each order as it is built, sharing one
-  exponent tuple per key across orders.
+  no field is 0. `x_engine` reads [x^0], one key, from each packed order;
+  only `x_series` unpacks the orders into exponent tuples.
 
 Coefficients of committed states are non-negative integers, and no x-engine
 key has a negative exponent; the guard checks each committed order, where an
@@ -142,7 +142,7 @@ from collections import defaultdict
 from itertools import accumulate
 from math import comb
 
-from .polyops import poly_eval, truncate_total_degree, zero_mono
+from .polyops import poly_eval
 
 
 class SeriesConsistencyError(RuntimeError):
@@ -286,13 +286,6 @@ def u_engine(m: int, N: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # x-engine
 
-def _s_poly(m):
-    p = {zero_mono(m): 1}
-    for i in range(m):
-        p[tuple(1 if k == i else 0 for k in range(m))] = 1
-    return p
-
-
 def substitute_pair(P: dict, j: int) -> dict:
     """x_{j-1} <- x_{j-1} + x_j and x_j <- 0, by binomial expansion.
 
@@ -378,9 +371,10 @@ def _divided_difference(p, j, acc, w, top):
         if K >> hi & mask > 1:
             acc[K - down] += c
         elif j > 1:
-            a = (K >> lo & mask) - 1
+            a, key = (K >> lo & mask) - 1, K - down
             for i in range(1, a + 1):
-                acc[K + i * move - down] -= c * comb(a, i)
+                key += move  # x_{j-1}^(a-i) x_j^(i-1)
+                acc[key] -= c * comb(a, i)
 
 
 def _x_step(F, H, k, m, W):
@@ -403,6 +397,26 @@ def _x_step(F, H, k, m, W):
     return out, {K: c for K, c in acc.items() if K & (1 << w) - 1 == 1 and K < lim - top}
 
 
+def _x_orders(m, N, W):
+    """Yield F_0..F_N on packed keys at weight bound W, each built from the last."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if N < 0:
+        raise ValueError("N must be >= 0")
+    if W < N:
+        raise ValueError("weight_bound must be >= N")
+    w = _x_width(W, m)
+    one = _xpack((0,) * m, w)  # F_0 = s, cut to degree <= W, so G_0/(1 + q) = 1
+    F, H = {one: 1, **{one + (1 << w * i) + (1 << w * m): 1 for i in range(m) if W}}, {one: 1}
+    yield F
+    for k in range(N):
+        try:
+            F, H = _x_step(F, H, k, m, W)
+        except SeriesConsistencyError as exc:
+            raise SeriesConsistencyError(f"x-engine, m={m}, t-order {k + 1}: {exc}") from exc
+        yield F
+
+
 def x_series(m: int, N: int, weight_bound: int | None = None) -> list[dict]:
     """t-coefficients F_0..F_N of the kernel-form series, in one forward sweep.
 
@@ -410,13 +424,7 @@ def x_series(m: int, N: int, weight_bound: int | None = None) -> list[dict]:
     (weight_bound >= N defaults to N, which is exact for the constant term;
     pass 2*N+2 for full coefficients through t^N).
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if N < 0:
-        raise ValueError("N must be >= 0")
     W = N if weight_bound is None else weight_bound
-    if W < N:
-        raise ValueError("weight_bound must be >= N")
     w = _x_width(W, m)
     exps = {}  # one exponent tuple per packed key, shared by every order
 
@@ -425,16 +433,7 @@ def x_series(m: int, N: int, weight_bound: int | None = None) -> list[dict]:
         exps.update(zip(fresh, _xunpack(fresh, m, w)))
         return {exps[K]: c for K, c in F.items()}
 
-    F = {_xpack(e, w): c for e, c in truncate_total_degree(_s_poly(m), W).items()}
-    H = {_xpack(zero_mono(m), w): 1}  # F_0 = s, so G_0/(1 + q) = 1
-    out = [unpacked(F)]
-    for k in range(N):
-        try:
-            F, H = _x_step(F, H, k, m, W)
-        except SeriesConsistencyError as exc:
-            raise SeriesConsistencyError(f"x-engine, m={m}, t-order {k + 1}: {exc}") from exc
-        out.append(unpacked(F))
-    return out
+    return [unpacked(F) for F in _x_orders(m, N, W)]
 
 
 def x_engine(m: int, N: int, check_stable: bool = False) -> list[int]:
@@ -444,10 +443,11 @@ def x_engine(m: int, N: int, check_stable: bool = False) -> list[int]:
     counts; the bound N is exact for them, so only a truncation bug moves one.
     """
     m = min(m, max(1, N // 2))  # a k-nesting needs 2k elements; m < 1 still raises
-    zero = zero_mono(m)
-    counts = [Fk.get(zero, 0) for Fk in x_series(m, N)]
+    one = _xpack((0,) * m, _x_width(N, m))  # [x^0] is the coefficient of 1
+    counts = [F.get(one, 0) for F in _x_orders(m, N, N)]
     if check_stable:
-        wide = [Fk.get(zero, 0) for Fk in x_series(m, N, 2 * N)]
+        one = _xpack((0,) * m, _x_width(2 * N, m))
+        wide = [F.get(one, 0) for F in _x_orders(m, N, 2 * N)]
         k = next((k for k in range(N + 1) if counts[k] != wide[k]), None)
         if k is not None:
             raise SeriesConsistencyError(

@@ -2,11 +2,17 @@
 runs them, so they live beside the tests rather than in the package."""
 
 from nestcount.polyops import poly_mul, poly_sub, zero_mono
-from nestcount.series import _s_poly
 
 
 def poly_add(p, q):
     return poly_sub(p, {e: -c for e, c in q.items()})
+
+
+def _s_poly(m):
+    p = {zero_mono(m): 1}
+    for i in range(m):
+        p[tuple(1 if k == i else 0 for k in range(m))] = 1
+    return p
 
 
 def _h_poly(m):

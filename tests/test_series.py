@@ -482,6 +482,18 @@ class TestXEngine:
     def test_stabilization_debug_mode(self):
         assert x_engine(2, 6, check_stable=True) == [1, 1, 2, 5, 15, 52, 202]
 
+    @pytest.mark.parametrize("check_stable", [False, True])
+    def test_counts_read_from_packed_orders(self, monkeypatch, check_stable):
+        # each count is [x^0] of a packed order: no key is unpacked and no
+        # x_series is built, at either weight bound
+        def refuse(*args):
+            raise AssertionError("x_engine unpacked an order")
+
+        monkeypatch.setattr(series, "_xunpack", refuse)
+        monkeypatch.setattr(series, "x_series", refuse)
+        for m, N in [(m, N) for m in range(1, 6) for N in range(13)] + [(9, 8)]:
+            assert x_engine(m, N, check_stable=check_stable) == gtree.sequence(m, N)
+
     @pytest.mark.parametrize(
         "helper,call,bad,named",
         [
