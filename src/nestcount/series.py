@@ -4,15 +4,20 @@ Both engines compute the counting sequence of (m+1)-nonnesting partitions
 with exact integer coefficients.
 
 * The u-engine iterates the label generating function order by order in t:
-  P_{n+1} is P_n (a polynomial in u_1..u_m) times u_1..u_m plus, for each
-  u_j, the exact quotient of P_n - P_n|merge by u_j - 1 times u_1..u_j,
-  added straight into P_{n+1}. The merge sets u_j's exponent to a, u_{j-1}'s
+  P_{n+1} is the shift of P_n (a polynomial in u_1..u_m), P_n times
+  u_1..u_m, plus, for each u_j, the exact quotient of P_n - P_n|merge by
+  u_j - 1 times u_1..u_j. The merge sets u_j's exponent to a, u_{j-1}'s
   (1 for j = 1), so in each group of P_n's keys that differ only in u_j the
   quotient is a synthetic division: its u_j^(k-1) coefficient, for k > a,
   is the sum of the group's coefficients at exponents k and up. The step
   reads each group in place in P_n, walking from its top key down one
   exponent of u_j at a time to a, adding each present coefficient into a
-  running sum (an absent exponent is a gap) and the sum into P_{n+1}.
+  running sum (an absent exponent is a gap). For u_m the shift and the
+  quotient are one write per key: the quotient's term at K + (1, .., 1)
+  is the sum from K + u_m up, and the shift of K adds P_n's coefficient
+  at K. So u_m's walk builds P_{n+1}, setting each K + (1, .., 1), K from
+  the top key down to a (absent from P_n at m = 1), to the sum from K up;
+  each later walk adds its running sums into it.
   So a label e (a key of P_n; L_n is their set) has the children
   e + (1, .., 1), its shift, and for each j and e_{j-1} < k <= e_j
   (e_0 := 1) its child at j, k: e with e_j := k and e_i + 1 for i < j.
@@ -169,71 +174,107 @@ def _merge_pair(p, m, w):
     return [K for K in p if K + step not in p]
 
 
-def _divide_by_var_minus_one(p, tops, var, out, m, w):
-    """Add the exact quotient of p - p|merge by u_{var+1} - 1, times u_1 ..
-    u_{var+1}, into out (var 0-based), walking each group from its top key in
-    tops down to its merge exponent a, as the module docstring says. Returns
-    the keys at a that p holds: u_var's top keys."""
+def _groups(tops, var, m, w):
+    """Yield each top key with its u_{var+1} group's key at the merge exponent
+    a (var 0-based): the top key with u_{var+1}'s exponent set to u_var's, or
+    to 1 for var 0. Raises for a top key below a."""
     s = w * var
-    step = 1 << s
     mask = (1 << w) - 1
-    low = (step - 1) // mask  # u_1 .. u_var
     clear = ~(mask << s)
-    # a group's key at a is rest + a(rest): a is u_var's exponent, or 1
     prev, first = (mask << s - w, 0) if var else (0, 1)
-    get = p.get
-    seen = 0
-    bases = []
     for top in tops:
-        rest = top & clear
-        base = rest + ((rest & prev) << w | first)
+        base = (top & clear) + ((top & prev) << w | first)
         if top < base:
             raise SeriesConsistencyError(
                 f"exponent {(top >> s) & mask} of u_{var + 1} below the merge exponent "
                 f"{(base >> s) & mask}, dividing by u_{var + 1} - 1, "
                 f"in the monomial {_unpack(top, m, w)}"
             )
+        yield top, base
+
+
+def _check_walked(p, tops, seen, var, m, w):
+    """Raise, naming the keys of p that no group's walk reaches, unless seen
+    (the walks' steps less their gaps, plus the keys at a found in p) is the
+    size of p."""
+    if seen != len(p):
+        step = 1 << w * var
+        walked = {K for top, base in _groups(tops, var, m, w) for K in range(top, base - 1, -step)}
+        missed = [_unpack(K, m, w) for K in sorted(p) if K not in walked]
+        raise SeriesConsistencyError(
+            f"{seen} of {len(p)} monomials walked or at the merge exponent, dividing by "
+            f"u_{var + 1} - 1; not walked: {missed}"
+        )
+
+
+def _divide_by_var_minus_one(p, tops, var, out, m, w):
+    """Add the exact quotient of p - p|merge by u_{var+1} - 1, times u_1 ..
+    u_{var+1}, into out (var 0-based; the step walks u_m in `_shift`), walking
+    each group from its top key in tops down to its merge exponent a, as the
+    module docstring says. Returns the keys at a that p holds: u_var's top keys."""
+    s = w * var
+    step = 1 << s
+    low = (step - 1) // ((1 << w) - 1)  # u_1 .. u_var
+    get = p.get
+    seen = 0
+    bases = []
+    for top, base in _groups(tops, var, m, w):
         seen += (top - base) >> s  # every step walked, less each gap below
         running = 0
         for key in range(top, base, -step):
             c = get(key)
             if c:
                 running += c
-            elif var == m - 1:  # u_m's groups have no gaps (fact (B))
-                raise SeriesConsistencyError(
-                    f"exponent {(key >> s) & mask} of u_{m} missing, dividing by u_{m} - 1, "
-                    f"in the group of the top key {_unpack(top, m, w)}"
-                )
             else:
                 seen -= 1
             dest = key + low
             out[dest] = out.get(dest, 0) + running
         if base in p:
             bases.append(base)
-    seen += len(bases)
-    if seen != len(p):
-        walked = {top & clear: top for top in tops}  # one top key per group
-        missed = [
-            _unpack(K, m, w)
-            for K in sorted(p)
-            if not (K & clear) + ((K & prev) << w | first) <= K <= walked.get(K & clear, -1)
-        ]
-        raise SeriesConsistencyError(
-            f"{seen} of {len(p)} monomials walked or at the merge exponent, dividing by "
-            f"u_{var + 1} - 1; not walked: {missed}"
-        )
+    _check_walked(p, tops, seen + len(bases), var, m, w)
     return bases
 
 
-def _shift(p, ones):
-    """Multiply by u_1 u_2 .. u_m (add 1 to every exponent field)."""
-    return {K + ones: c for K, c in p.items()}
+def _shift(p, tops, m, w):
+    """p times u_1 .. u_m plus the exact quotient of p - p|merge by u_m - 1
+    times u_1 .. u_m, in one write per key: each key K of a u_m group, from its
+    top key in tops down to its merge exponent a, sets K + (1, .., 1) to the
+    group's sum from K up, p's coefficient at K (the shift) plus the
+    quotient's sum from K + u_m up. Returns it and the keys at a that p
+    holds: u_{m-1}'s top keys."""
+    s = w * (m - 1)
+    step = 1 << s
+    ones = _pack((1,) * m, w)
+    get = p.get
+    new = {}
+    seen = 0
+    bases = []
+    for top, base in _groups(tops, m - 1, m, w):
+        seen += (top - base) >> s
+        running = 0
+        for key in range(top, base, -step):
+            c = get(key)
+            if not c:  # u_m's groups have no gaps (fact (B))
+                raise SeriesConsistencyError(
+                    f"exponent {key >> s} of u_{m} missing, dividing by u_{m} - 1, "
+                    f"in the group of the top key {_unpack(top, m, w)}"
+                )
+            running += c
+            new[key + ones] = running
+        c = get(base)
+        if c:
+            running += c
+            bases.append(base)
+        new[base + ones] = running
+    _check_walked(p, tops, seen + len(bases), m - 1, m, w)
+    return new, bases
 
 
 def _u_step(p, m, w):
-    new = _shift(p, _pack((1,) * m, w))
-    tops = _merge_pair(p, m, w)
-    for var in range(m - 1, -1, -1):
+    """P_{n+1} from P_n = p: u_m's walk builds it with the shift, and the walks
+    of u_{m-1} .. u_1 add into it."""
+    new, tops = _shift(p, _merge_pair(p, m, w), m, w)
+    for var in range(m - 2, -1, -1):
         tops = _divide_by_var_minus_one(p, tops, var, new, m, w)
     return new
 

@@ -74,6 +74,7 @@ nestcount verify --suite cross-engine -m 6 --terms 24
 nestcount verify --suite cross-engine -m 6 --terms 30  # the u-engine steps to t-orders 26..30 at m = 5..1
 nestcount verify --suite cross-engine -m 7 --terms 18
 python -c "from nestcount.series import v_identity_check as v; assert v(3, 14, [(1, 2, 3), (2, -1, 5)]) and v(2, 30, [(1, 2), (3, -2)])"
+python -c "from nestcount import gtree, series; assert all(series.u_series(m, 12) == [ms.counts for ms in gtree.levels(m, 12)] for m in (2, 4, 6))"  # whole orders, label by label
 python -c "from nestcount import gtree, series; assert all(series.x_engine(m, N, check_stable=True) == gtree.sequence(m, N) for m, N in ((2, 32), (3, 24), (5, 16)))"  # [x^0] at weight bounds N and 2N
 nestcount verify --suite oracle -m 3 --terms 12
 nestcount verify --suite equidistribution -m 5 --terms 12

@@ -150,9 +150,9 @@ class TestUEngine:
 
     def test_coefficients_are_label_distributions(self):
         # exponent vectors of P_n are exactly the labels at level n
-        for m in (1, 2, 3):
-            ps = u_series(m, 7)
-            for n, ms in enumerate(gtree.levels(m, 7)):
+        for m in range(1, 7):
+            ps = u_series(m, 12)
+            for n, ms in enumerate(gtree.levels(m, 12)):
                 assert ps[n] == ms.counts
 
     def test_coefficient_positivity(self):
@@ -187,6 +187,28 @@ class TestUEngine:
         out = self.divide({(1, 3): 2, (1, 2): 3, (1, 1): 7}, 1, {}, 2, 3)
         assert out == ({(2, 3): 2, (2, 2): 5}, [(1, 1)])
 
+    def test_shift_adds_the_u_m_quotient_to_the_shift(self):
+        # P_3 at m = 2: its u_2 groups are {4} at u_1^4, {3} at u_1^3 and {2, 3}
+        # at u_1^2, each merging at u_1's exponent. The shift is
+        # u_1^5 u_2^5 + 2 u_1^4 u_2^4 + u_1^3 u_2^3 + u_1^3 u_2^4, and the quotient
+        # (u_1^2 u_2^3 - u_1^2 u_2^2) / (u_2 - 1) * u_1 u_2 = u_1^3 u_2^3 lands on
+        # the shift of u_1^2 u_2^2; every group's key at the merge exponent is in
+        # P_3 and is handed on as a top key of u_1
+        p = packed({(4, 4): 1, (3, 3): 2, (2, 2): 1, (2, 3): 1}, 3)
+        new, bases = series._shift(p, series._merge_pair(p, 2, 3), 2, 3)
+        assert unpacked(new, 2, 3) == {(5, 5): 1, (4, 4): 2, (3, 3): 1 + 1, (3, 4): 1}
+        assert sorted(series._unpack(K, 2, 3) for K in bases) == [(2, 2), (3, 3), (4, 4)]
+
+    def test_shift_writes_the_merge_exponent_absent_from_p(self):
+        # at m = 1 the merge exponent is 1, which P_n (exponents 2 .. n + 1) lacks;
+        # its shift u_1^2 still gets the whole group's sum: P_2 = u_1^3 + u_1^2
+        # gives P_3 = u_1^4 + 2 u_1^3 + 2 u_1^2, and nothing is handed on
+        p = packed({(3,): 1, (2,): 1}, 3)
+        new, bases = series._shift(p, series._merge_pair(p, 1, 3), 1, 3)
+        assert unpacked(new, 1, 3) == {(4,): 1, (3,): 2, (2,): 2}
+        assert bases == []
+        assert u_engine(1, 2) == [1, 1, 2]
+
     def test_division_rejects_unwalked_key(self):
         # a group left out of the tops is never walked, so the count comes up short
         p = packed({(1, 1): 1, (2, 3): 1}, 3)
@@ -204,7 +226,7 @@ class TestUEngine:
             SeriesConsistencyError,
             match=r"^exponent 3 of u_2 missing, dividing by u_2 - 1, in the group of the top key \(2, 4\)$",
         ):
-            series._divide_by_var_minus_one(p, tops, 1, {}, 2, 3)
+            series._shift(p, tops, 2, 3)
 
     def test_gap_under_a_second_top_key_is_named_in_u_m(self):
         # u_2's gap at 4 makes (3, 3) a top key besides (3, 5); (3, 3)'s walk is
@@ -216,22 +238,22 @@ class TestUEngine:
         with pytest.raises(
             SeriesConsistencyError, match=r"exponent 4 of u_2 missing, .* top key \(3, 5\)"
         ):
-            series._divide_by_var_minus_one(p, tops, 1, {}, 2, 3)
+            series._shift(p, tops, 2, 3)
         with pytest.raises(SeriesConsistencyError, match=r"u_2 .* top key \(3, 5\)"):
             series._u_step(p, 2, 3)
 
     def test_group_walked_twice_names_engine_order_and_group(self, monkeypatch):
-        shift = series._shift
+        u_step = series._u_step
         calls = []
 
-        def add_gap_to_order_2(p, ones):
-            out = shift(p, ones)
+        def add_gap_to_order_2(p, m, w):
+            out = u_step(p, m, w)
             calls.append(None)
             if len(calls) == 2:
                 out[pack((2, 4), 3)] = 1  # u_2's group at u_1^2 is then {2, 4}
             return out
 
-        monkeypatch.setattr(series, "_shift", add_gap_to_order_2)
+        monkeypatch.setattr(series, "_u_step", add_gap_to_order_2)
         with pytest.raises(SeriesConsistencyError) as info:
             u_series(2, 3)  # 3-bit fields
         msg = str(info.value)
@@ -268,13 +290,13 @@ class TestUEngine:
 
     def test_dropped_walk_top_is_caught(self, monkeypatch):
         # u_2's walk hands u_1 a wrong top key for P_1's u_1^2 u_2^2
-        divide = series._divide_by_var_minus_one
+        shift = series._shift
 
-        def drop_one_base(p, tops, var, out, m, w):
-            bases = divide(p, tops, var, out, m, w)
-            return self.lower_first_walking_top(bases, m, var - 1, w) if var else bases
+        def drop_one_base(p, tops, m, w):
+            new, bases = shift(p, tops, m, w)
+            return new, self.lower_first_walking_top(bases, m, m - 2, w)
 
-        monkeypatch.setattr(series, "_divide_by_var_minus_one", drop_one_base)
+        monkeypatch.setattr(series, "_shift", drop_one_base)
         with pytest.raises(SeriesConsistencyError, match=r"not walked: \[\(2, 2\)\]"):
             u_series(2, 3)
 
@@ -315,7 +337,9 @@ class TestUEngine:
         for p in P[:-1]:
             p = packed(p, w)
             tops = series._merge_pair(p, m, w)
-            for var in range(m - 1, -1, -1):
+            assert sorted(tops) == sorted(group_tops(p, m - 1, w))
+            tops = series._shift(p, tops, m, w)[1]
+            for var in range(m - 2, -1, -1):
                 assert sorted(tops) == sorted(group_tops(p, var, w))
                 tops = series._divide_by_var_minus_one(p, tops, var, {}, m, w)
 
@@ -361,17 +385,17 @@ class TestUEngine:
             series._u_step(step, 2, 3)
 
     def test_out_of_order_error_names_engine_order_and_monomial(self, monkeypatch):
-        shift = series._shift
+        u_step = series._u_step
         calls = []
 
-        def add_bad_label_to_order_2(p, ones):
-            out = shift(p, ones)
+        def add_bad_label_to_order_2(p, m, w):
+            out = u_step(p, m, w)
             calls.append(None)
             if len(calls) == 2:
                 out[pack((3, 2), 3)] = 1
             return out
 
-        monkeypatch.setattr(series, "_shift", add_bad_label_to_order_2)
+        monkeypatch.setattr(series, "_u_step", add_bad_label_to_order_2)
         with pytest.raises(SeriesConsistencyError) as info:
             u_series(2, 3)  # 3-bit fields
         msg = str(info.value)
@@ -394,7 +418,8 @@ class TestUEngine:
         for name in calls:
             monkeypatch.setattr(series, name, counted(name))
         assert unpacked(series._u_step(packed(P[3], 3), 3, 3), 3, 3) == P[4]
-        assert calls == {"_shift": 1, "_merge_pair": 1, "_divide_by_var_minus_one": 3}
+        # u_3's walk is _shift's; u_2 and u_1 each walk in _divide_by_var_minus_one
+        assert calls == {"_shift": 1, "_merge_pair": 1, "_divide_by_var_minus_one": 2}
 
     @pytest.mark.parametrize("m", range(1, 8))
     def test_projected_engine_sums_full_orders(self, m):
