@@ -11,20 +11,17 @@ Imports: each command imports only the modules it runs, since every module
 imported is loaded again at each start. gtree (the default engine, which
 most verify suites call) and series (the series engines, and main's
 SeriesConsistencyError) load with this module, so that no call pays their
-load; core, formulas, json, datetime and zlib are imported where they are
-used.
+load; core, formulas, json, datetime, zlib, decimal and pathlib are imported
+where they are used.
 Arguments are read from the COMMANDS table by _parse, not by argparse,
 whose import and parser build took about half the time of a
 `sequence -m 2 -n 31 --engine xseries` call.
 """
 
-from __future__ import annotations
-
 import os
 import sys
 import time
 from importlib import import_module
-from pathlib import Path
 from types import SimpleNamespace
 
 from . import __version__, gtree, series
@@ -67,6 +64,7 @@ def _source_digest() -> int | None:
     of the code that wrote it, since __version__ does not move with every
     change to the engines."""
     import zlib
+    from pathlib import Path
     paths, crc = sorted(Path(__file__).parent.glob("*.py")), 0
     try:
         for path in paths:
@@ -76,8 +74,7 @@ def _source_digest() -> int | None:
     return crc if paths else None
 
 
-def _load_cached(path: Path, m: int, engine: str, N: int,
-                 digest: int | None) -> list[int] | None:
+def _load_cached(path, m: int, engine: str, N: int, digest: int | None) -> list[int] | None:
     """Counts 0..N from a cache file, or None unless it is a readable record
     of this version, source digest (never None), m and engine with at least
     N + 1 terms that pass cheap consistency checks: ASCII decimal digits, of
@@ -116,7 +113,7 @@ def _load_cached(path: Path, m: int, engine: str, N: int,
     return vals[: N + 1]
 
 
-def _store_cached(path: Path, record: dict) -> None:
+def _store_cached(path, record: dict) -> None:
     """Atomic write (a pid-suffixed sibling, then os.replace): no torn file."""
     import json
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
@@ -132,6 +129,7 @@ def cmd_sequence(args) -> int:
     m, N, engine = args.max_nesting, args.terms, args.engine
     cache_path = digest = None
     if args.cache_dir:
+        from pathlib import Path
         cache_path = Path(args.cache_dir) / f"m{m}_{engine}.json"
         try:
             cache_path.parent.mkdir(parents=True, exist_ok=True)

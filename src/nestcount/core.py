@@ -18,8 +18,6 @@ Everything here is exhaustive-enumeration scale (Bell-number growth); the
 fast counting lives in `gtree` and `series`.
 """
 
-from __future__ import annotations
-
 from bisect import bisect_left
 from collections import Counter
 from functools import lru_cache

@@ -14,8 +14,6 @@ Sums with fractional summands (e.g. 1 - l_1/(l_2+1)) are evaluated in
 exact rational arithmetic and asserted integral at the end.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from math import comb
 

@@ -79,8 +79,6 @@ fields, and each sum the drop forms from them, is at most that total. Every
 key field is a coordinate of a full label, so the key bound is unchanged.
 """
 
-from __future__ import annotations
-
 from functools import cached_property
 from io import BytesIO
 from itertools import accumulate, repeat

@@ -54,10 +54,6 @@ def poly_eval(p, point):
     return total
 
 
-def truncate_total_degree(p, bound):
-    return {e: c for e, c in p.items() if sum(e) <= bound}
-
-
 def constant_term_of_product(p, q):
     """[x^0](p*q) without forming the product: sum of p[e]*q[-e]."""
     total = 0

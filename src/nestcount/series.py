@@ -141,13 +141,8 @@ key has a negative exponent; the guard checks each committed order, where an
 exponent of -1 raises SeriesConsistencyError.
 """
 
-from __future__ import annotations
-
 from collections import defaultdict
-from itertools import accumulate
 from math import comb
-
-from .polyops import poly_eval
 
 
 class SeriesConsistencyError(RuntimeError):
@@ -467,14 +462,7 @@ def x_series(m: int, N: int, weight_bound: int | None = None) -> list[dict]:
     """
     W = N if weight_bound is None else weight_bound
     w = _x_width(W, m)
-    exps = {}  # one exponent tuple per packed key, shared by every order
-
-    def unpacked(F):
-        fresh = [K for K in F if K not in exps]
-        exps.update(zip(fresh, _xunpack(fresh, m, w)))
-        return {exps[K]: c for K, c in F.items()}
-
-    return [unpacked(F) for F in _x_orders(m, N, W)]
+    return [dict(zip(_xunpack(F, m, w), F.values())) for F in _x_orders(m, N, W)]
 
 
 def x_engine(m: int, N: int, check_stable: bool = False) -> list[int]:
@@ -511,6 +499,8 @@ def v_identity_check(m: int, N: int, sample_points) -> bool:
     iff every t-coefficient agrees at every point.
     """
     from fractions import Fraction
+    from itertools import accumulate
+    from .polyops import poly_eval
     pts = [tuple(Fraction(c) for c in pt) for pt in sample_points]
     us = []
     for pt in pts:

@@ -1,11 +1,15 @@
-"""Series checks that only tests call: no engine, CLI command or CI step
-runs them, so they live beside the tests rather than in the package."""
+"""Series checks and helpers that only tests call: no engine, CLI command or
+CI step runs them, so they live beside the tests rather than in the package."""
 
 from nestcount.polyops import poly_mul, poly_sub, zero_mono
 
 
 def poly_add(p, q):
     return poly_sub(p, {e: -c for e, c in q.items()})
+
+
+def truncate_total_degree(p, bound):
+    return {e: c for e, c in p.items() if sum(e) <= bound}
 
 
 def _s_poly(m):

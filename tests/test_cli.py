@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import zlib
 
 import pytest
 
@@ -94,6 +95,16 @@ class TestCache:
         code3, fresh = run_cli(capsys, "sequence", "-m", "2", "--terms", "10")
         assert (code1, code2, code3) == (0, 0, 0)
         assert out1 == out2 == fresh
+
+    def test_record_digest_is_crc32_of_sorted_sources(self, capsys, tmp_path):
+        # README: zlib.crc32 over the bytes of the package's *.py files in sorted order
+        package = os.path.dirname(os.path.abspath(gtree.__file__))
+        crc = 0
+        for name in sorted(n for n in os.listdir(package) if n.endswith(".py")):
+            with open(os.path.join(package, name), "rb") as f:
+                crc = zlib.crc32(f.read(), crc)
+        run_cli(capsys, "sequence", "-m", "2", "--terms", "4", "--cache-dir", str(tmp_path))
+        assert json.loads((tmp_path / "m2_gtree.json").read_text())["meta"]["source_crc32"] == crc
 
     def test_cached_prefix_reused_for_fewer_terms(self, capsys, tmp_path):
         run_cli(capsys, "sequence", "-m", "2", "--terms", "10",
@@ -709,11 +720,14 @@ class TestImports:
     # A CLI call pays for every module it imports; each command imports only
     # what it runs. Checked in a fresh interpreter, against the modules its
     # startup had already loaded. The child runs with -S, so that no .pth
-    # file of site-packages imports a HEAVY module (zlib, say) at startup
-    # and hides it from the check; PYTHONPATH is still read.
-    HEAVY = ("nestcount.core", "nestcount.formulas", "dataclasses", "inspect",
-             "fractions", "decimal", "datetime", "argparse", "gettext", "locale", "json",
-             "zlib")
+    # file of site-packages imports a HEAVY module (zlib or pathlib, say) at
+    # startup and hides it from the check; PYTHONPATH is still read.
+    HEAVY = ("nestcount.core", "nestcount.formulas", "nestcount.polyops", "dataclasses",
+             "inspect", "fractions", "decimal", "datetime", "argparse", "gettext", "locale",
+             "json", "zlib", "pathlib", "__future__")
+    # The start path: the package modules that `import nestcount.cli` loads.
+    START = {"nestcount", "nestcount.cli", "nestcount.gtree", "nestcount.series",
+             "nestcount.table1"}
     CHILD = (
         "import contextlib, io, sys\n"
         "before = set(sys.modules)\n"
@@ -735,6 +749,11 @@ class TestImports:
         assert sorted(set(startup.split()).intersection(self.HEAVY)) == []
         return set(new.split())
 
+    def test_start_path_is_the_cli_and_its_engines(self):
+        new = self.loaded()
+        assert {mod for mod in new if mod.split(".")[0] == "nestcount"} == self.START
+        assert sorted(new.intersection(self.HEAVY)) == []
+
     def test_sequence_engines_load_no_heavy_module(self):
         new = self.loaded(*(f"sequence -m 2 -n 5 --engine {e}" for e in ("gtree", "useries", "xseries")))
         assert {"nestcount.gtree", "nestcount.series"} <= new
@@ -751,7 +770,7 @@ class TestImports:
         record = (tmp_path / "m3_gtree.json").read_bytes()
         new = self.loaded(argv)
         assert (tmp_path / "m3_gtree.json").read_bytes() == record  # read, not rewritten
-        assert "nestcount.core" not in new and {"json", "zlib"} <= new
+        assert "nestcount.core" not in new and {"json", "zlib", "pathlib"} <= new
 
     def test_bell_prefix_suite_loads_no_heavy_module(self):
         assert sorted(self.loaded("verify --suite bell-prefix -m 3").intersection(self.HEAVY)) == []

@@ -7,7 +7,6 @@ from nestcount import core, gtree, series
 from nestcount.polyops import (
     poly_mul,
     poly_sub,
-    truncate_total_degree,
     zero_mono,
 )
 from nestcount.series import (
@@ -19,7 +18,7 @@ from nestcount.series import (
     x_engine,
     x_series,
 )
-from series_helpers import kernel_transposition_invariant, poly_add
+from series_helpers import kernel_transposition_invariant, poly_add, truncate_total_degree
 
 
 def mul_upto(p, q, D):
