@@ -8,25 +8,24 @@ timestamp and wall time, but stdout normalizes both to null so repeated
 runs are byte-identical.
 
 Imports: each command imports only the modules it runs, since every module
-imported is loaded again at each start. gtree (the default engine, which
-most verify suites call) and series (the series engines, and main's
-SeriesConsistencyError) load with this module, so that no call pays their
-load; core, formulas, json, datetime, zlib, decimal and pathlib are imported
-where they are used.
+imported is loaded again at each start. Only gtree (the default engine)
+and series (the series engines, and main's SeriesConsistencyError) load
+with this module. The verify suites live in verify, loaded only by
+`verify`, and the --cache-dir records in cache, loaded only with
+--cache-dir; both import table1. core, formulas, json, datetime and
+decimal are imported where they are used.
 Arguments are read from the COMMANDS table by _parse, not by argparse,
 whose import and parser build took about half the time of a
 `sequence -m 2 -n 31 --engine xseries` call.
 """
 
-import os
 import sys
 import time
 from importlib import import_module
 from types import SimpleNamespace
 
-from . import __version__, gtree, series
+from . import __version__, gtree
 from .series import SeriesConsistencyError
-from .table1 import OEIS_IDS, TABLE1, bell_numbers
 
 
 # Engine name -> (module, function) of fn(m, N), the counts for sizes 0..N.
@@ -58,85 +57,14 @@ def _make_record(m, engine, terms, timestamp=None, wall_time=None):
     return {"m": m, "engine": engine, "terms": [_decimal(t) for t in terms], "meta": meta}
 
 
-def _source_digest() -> int | None:
-    """zlib.crc32 over the bytes of this package's *.py files in sorted
-    order, or None if they cannot be read. A cache record carries the digest
-    of the code that wrote it, since __version__ does not move with every
-    change to the engines."""
-    import zlib
-    from pathlib import Path
-    paths, crc = sorted(Path(__file__).parent.glob("*.py")), 0
-    try:
-        for path in paths:
-            crc = zlib.crc32(path.read_bytes(), crc)
-    except OSError:
-        return None
-    return crc if paths else None
-
-
-def _load_cached(path, m: int, engine: str, N: int, digest: int | None) -> list[int] | None:
-    """Counts 0..N from a cache file, or None unless it is a readable record
-    of this version, source digest (never None), m and engine with at least
-    N + 1 terms that pass cheap consistency checks: ASCII decimal digits, of
-    any length, starting at 1, nondecreasing, and the Bell-prefix relation
-    where it applies."""
-    import json
-    try:
-        cached = json.loads(path.read_bytes())
-    except (OSError, ValueError, RecursionError):
-        return None
-    if not (
-        isinstance(cached, dict)
-        and isinstance(cached.get("meta"), dict)
-        and cached["meta"].get("version") == __version__
-        and digest is not None
-        and cached["meta"].get("source_crc32") == digest
-        and cached.get("m") == m
-        and cached.get("engine") == engine
-        and isinstance(cached.get("terms"), list)
-        and len(cached["terms"]) >= N + 1
-        and all(isinstance(t, str) and t.isascii() and t.isdigit() for t in cached["terms"])
-    ):
-        return None
-    try:
-        vals = [int(t) for t in cached["terms"]]
-    except ValueError:  # a term past int()'s digit limit; see _decimal
-        from decimal import Decimal
-
-        vals = [int(Decimal(t)) for t in cached["terms"]]
-    if vals[0] != 1 or any(a > b for a, b in zip(vals, vals[1:])):
-        return None
-    bells = bell_numbers(len(vals) - 1)
-    for n, v in enumerate(vals):
-        if v > bells[n] or (n < 2 * (m + 1) and v != bells[n]):
-            return None
-    return vals[: N + 1]
-
-
-def _store_cached(path, record: dict) -> None:
-    """Atomic write (a pid-suffixed sibling, then os.replace): no torn file."""
-    import json
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    try:
-        tmp.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-        os.replace(tmp, path)
-    except OSError as exc:
-        tmp.unlink(missing_ok=True)
-        raise ValueError(f"cannot write cache file {path}: {exc.strerror}") from None
-
-
 def cmd_sequence(args) -> int:
     m, N, engine = args.max_nesting, args.terms, args.engine
-    cache_path = digest = None
-    if args.cache_dir:
-        from pathlib import Path
-        cache_path = Path(args.cache_dir) / f"m{m}_{engine}.json"
-        try:
-            cache_path.parent.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise ValueError(f"cannot use --cache-dir {args.cache_dir}: {exc.strerror}") from None
-        digest = _source_digest()
-    terms = _load_cached(cache_path, m, engine, N, digest) if cache_path else None
+    cache_path = terms = None
+    if args.cache_dir is not None:
+        from . import cache
+        cache_path = cache.record_path(args.cache_dir, m, engine)
+        digest = cache.source_digest()
+        terms = cache.load(cache_path, m, engine, N, digest)
     if terms is None:
         start = time.monotonic()
         terms = engine_fn(engine)(m, N)
@@ -146,7 +74,7 @@ def cmd_sequence(args) -> int:
             stamp = datetime.now(timezone.utc).isoformat()
             stored = _make_record(m, engine, terms, stamp, wall)
             stored["meta"]["source_crc32"] = digest  # in the file, not on stdout
-            _store_cached(cache_path, stored)
+            cache.store(cache_path, stored)
     record = _make_record(m, engine, terms)
     if args.format == "csv":
         sys.stdout.write("n,count\n")
@@ -190,159 +118,17 @@ def cmd_stats(args) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# verify suites: each returns a list of (check-name, ok, detail) triples
-
-def _agree(name, got, want, detail, first=0):
-    """The triple for term lists got and want; a mismatch's detail names the
-    first n (list index + first) where they differ, or else their lengths."""
-    bad = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w), None)
-    if bad is not None:
-        g, w = _decimal(got[bad]), _decimal(want[bad])
-        detail += f"; first mismatch n={bad + first}: {g} != {w}"
-    elif len(got) != len(want):
-        detail += f"; length {len(got)} != {len(want)}"
-    return name, bad is None and len(got) == len(want), detail
-
-
-def _suite_table1(m, N):
-    top = len(TABLE1[1])
-    N = top if N is None else N
-    if m is not None and m not in TABLE1:
-        raise ValueError(f"table1 covers m = {min(TABLE1)}..{max(TABLE1)}, not m = {m}")
-    if N > top:
-        raise ValueError(f"table1 covers n = 1..{top}, not n = {N}")
-    ms = tuple(TABLE1) if m is None else (m,)
-    return [
-        _agree(f"table1 m={mm}", gtree.sequence(mm, N)[1:], TABLE1[mm][:N],
-               f"m={mm} ({OEIS_IDS[mm]}), n=1..{N}", first=1)
-        for mm in ms
-    ]
-
-
-def _suite_cross_engine(m, N):
-    m = 2 if m is None else m
-    N = N if N is not None else 10
-    ref = engine_fn("gtree")(m, N)
-    return [
-        _agree(f"cross-engine {name}", engine_fn(name)(m, N), ref, f"m={m}, N={N} vs gtree")
-        for name in ENGINES
-        if name not in ("gtree", "oracle")  # exhaustive: the oracle suite checks it at oracle scale
-    ]
-
-
-def _suite_oracle(m, N):
-    m = 2 if m is None else m
-    N = N if N is not None else 9
-    want = engine_fn("oracle")(m, N)
-    return [
-        _agree(f"oracle vs {name}", engine_fn(name)(m, N), want, f"m={m}, n<={N}")
-        for name in ENGINES
-        if name != "oracle"
-    ]
-
-
-def _suite_catalan(m, N):
-    if m not in (None, 1):
-        raise ValueError(f"catalan is the m = 1 suite, not m = {m}")
-    from . import formulas
-    N = N if N is not None else 30
-    closed = [formulas.catalan(n) for n in range(N + 1)]
-    return [
-        _agree("catalan recurrence", formulas.catalan_recurrence(N), closed,
-               f"n<={N} vs closed form"),
-        ("catalan convolution", formulas.catalan_convolution_check(N), f"n<={N}"),
-        ("m=1 series identity", formulas.m1_series_check(8), "t^8, exact Laurent"),
-    ]
-
-
-def _suite_labels(m, N):
-    from . import core
-    m = 2 if m is None else m
-    N = N if N is not None else 8
-    core.check_oracle_scale(N)
-    out = []
-    for n, ms in enumerate(gtree.levels(m, N)):
-        got, want = ms.counts, core.label_distribution(n, m)
-        detail = f"m={m}, gtree level vs enumeration"
-        bad = next((lab for lab in sorted(got.keys() | want.keys())
-                    if got.get(lab, 0) != want.get(lab, 0)), None)
-        if bad is not None:
-            g, w = _decimal(got.get(bad, 0)), _decimal(want.get(bad, 0))
-            detail += f"; first mismatch label=[{','.join(map(str, bad))}]: {g} != {w}"
-        out.append((f"labels n={n}", bad is None, detail))
-    return out
-
-
-def _suite_equidistribution(m, N):
-    from . import core
-    m = 4 if m is None else m
-    N = N if N is not None else 10
-    return [
-        _agree(f"equidistribution m={mm}", core.nonnesting_sequence(mm, N),
-               [core.count_noncrossing(n, mm) for n in range(N + 1)], f"n<={N}")
-        for mm in range(1, m + 1)
-    ]
-
-
-def _suite_bell_prefix(m, N):
-    m = 6 if m is None else m
-    out = []
-    for mm in range(1, m + 1):
-        top = N if N is not None else 2 * mm + 2
-        last = min(top, 2 * mm + 2)  # the last n checked: Bell-1 at 2m+2
-        want = bell_numbers(last)
-        detail = f"m={mm}: equals Bell for n<=min({top},{2 * mm + 1})"
-        if last == 2 * mm + 2:
-            want[-1] -= 1
-            detail += f", Bell-1 at n={last}"
-        seq = gtree.sequence(mm, top)
-        out.append(_agree(f"bell-prefix m={mm}", seq[: last + 1], want, detail))
-    return out
-
-
-def _suite_m2_formula(m, N):
-    if m not in (None, 2):
-        raise ValueError(f"m2-formula is the m = 2 suite, not m = {m}")
-    N = N if N is not None else 10
-    if N > len(TABLE1[2]):
-        raise ValueError(f"m2-formula's reference row covers n <= {len(TABLE1[2])}, not n = {N}")
-    from . import formulas
-    marginals = [gtree.marginal(ms, 2) for ms in gtree.levels(2, N)]
-    first = [formulas.m2_first_term(n) for n in range(13)]
-    oracle = [formulas.ct_reference("first", n) for n in range(13)]
-    out = [_agree("m2 first term vs CT oracle", first, oracle, "n<=12")]
-    full = [formulas.m2_full_expression(n, marginals) for n in range(N + 1)]
-    want = [1] + list(TABLE1[2][:N])
-    out.append(_agree("m2 assembled expression", full, want, f"n<={N} vs reference row"))
-    printed = [formulas.m2_full_expression(n, marginals, as_printed=True) for n in range(N + 1)]
-    if printed != want:
-        bad = next(i for i in range(N + 1) if printed[i] != want[i])
-        out.append((
-            "m2 as-printed index variant",
-            True,
-            f"documented discrepancy: as-printed inner-sum bound first diverges "
-            f"at n={bad} ({printed[bad]} != {want[bad]}); reconciled reading is used",
-        ))
-    else:
-        out.append(("m2 as-printed index variant", True, "agrees with reconciled reading"))
-    return out
-
-
-SUITES = {
-    "table1": _suite_table1,
-    "cross-engine": _suite_cross_engine,
-    "oracle": _suite_oracle,
-    "catalan": _suite_catalan,
-    "labels": _suite_labels,
-    "equidistribution": _suite_equidistribution,
-    "bell-prefix": _suite_bell_prefix,
-    "m2-formula": _suite_m2_formula,
-}
+# Suite name -> the function of nestcount.verify that runs it, looked up at
+# call time, so that only `verify` loads that module.
+SUITES = {"table1": "suite_table1", "cross-engine": "suite_cross_engine",
+          "oracle": "suite_oracle", "catalan": "suite_catalan", "labels": "suite_labels",
+          "equidistribution": "suite_equidistribution", "bell-prefix": "suite_bell_prefix",
+          "m2-formula": "suite_m2_formula"}
 
 
 def cmd_verify(args) -> int:
-    checks = SUITES[args.suite](args.max_nesting, args.terms)
+    from . import verify
+    checks = getattr(verify, SUITES[args.suite])(args.max_nesting, args.terms)
     failed = 0
     for name, ok, detail in checks:
         status = "PASS" if ok else "FAIL"
@@ -456,6 +242,8 @@ def _parse(argv: list[str]):
                 text = int(text)
             except ValueError:
                 _usage(f"option {_flags(long, short)}: {text!r} is not an integer")
+        elif kind is str and not text:
+            _usage(f"option {_flags(long, short)} needs a non-empty value")
         elif kind is not str and text not in kind:
             _usage(f"option {_flags(long, short)}: {text!r} is not one of {', '.join(kind)}")
         values[_dest(long)] = text

@@ -47,6 +47,12 @@ test "$code" = 2  # a usage error exits 2, prints nothing to stdout and one erro
 test ! -s "$cache/usage.out"
 test "$(wc -l < "$cache/usage.err")" = 1
 grep -q '^error: ' "$cache/usage.err"
+code=0
+nestcount sequence -m 2 -n 3 --cache-dir "" > "$cache/usage.out" 2> "$cache/usage.err" || code=$?
+test "$code" = 2  # an empty --cache-dir is a usage error, not a run with no cache
+test ! -s "$cache/usage.out"
+test "$(wc -l < "$cache/usage.err")" = 1
+grep -q '^error: ' "$cache/usage.err"
 nestcount verify --suite table1
 nestcount verify --suite catalan
 nestcount verify --suite labels

@@ -218,9 +218,9 @@ class TestCache:
         assert code == 0 and out.splitlines()[-1] == "8,3931"
 
     def test_unreadable_sources_never_hit(self, capsys, tmp_path, monkeypatch):
-        from nestcount import cli
+        from nestcount import cache
         path = self.stored_with_wrong_term_8(capsys, tmp_path)
-        monkeypatch.setattr(cli, "__file__", str(tmp_path / "gone" / "cli.py"))
+        monkeypatch.setattr(cache, "__file__", str(tmp_path / "gone" / "cache.py"))
         _, out = run_cli(capsys, "sequence", "-m", "2", "-n", "8", "--cache-dir", str(tmp_path))
         assert out.splitlines()[-1] == "8,3930"
         # a second run with no readable sources recomputes again
@@ -276,6 +276,14 @@ class TestEngineRegistry:
 
 
 class TestVerify:
+    def test_registry_names_every_suite_of_verify(self):
+        # SUITES is the one list: its values are verify's public functions, all of them
+        from nestcount import verify
+        public = {name for name, obj in vars(verify).items()
+                  if callable(obj) and getattr(obj, "__module__", None) == verify.__name__
+                  and not name.startswith("_")}
+        assert sorted(SUITES.values()) == sorted(public)
+
     def test_table1_row4(self, capsys):
         code, out = run_cli(
             capsys, "verify", "--suite", "table1", "--max-nesting", "4",
@@ -544,12 +552,15 @@ class TestUsageErrors:
             (["stats", "-n", "3", "extra"], "'extra'"),
             (["sequence", "--max", "2", "-n", "3"], "--max"),
             (["sequence", "-m", "2", "-n", "3", "--version"], "--version"),
+            (["sequence", "-m", "2", "-n", "3", "--cache-dir", ""], "--cache-dir"),
+            (["sequence", "-m", "2", "-n", "3", "--cache-dir="], "--cache-dir"),
         ],
         ids=["unknown-command", "no-command", "unknown-top-option", "unknown-option",
              "no-value-at-end", "no-value-before-option", "non-integer", "unknown-engine",
              "unknown-format", "unknown-suite", "non-integer-joined", "missing-m",
              "missing-n", "missing-size", "stats-missing-size", "missing-suite",
-             "stray-positional", "abbreviation", "version-after-command"],
+             "stray-positional", "abbreviation", "version-after-command", "empty-cache-dir",
+             "empty-cache-dir-joined"],
     )
     def test_parse_error_is_one_line(self, capsys, argv, token):
         with pytest.raises(SystemExit) as exc:
@@ -668,7 +679,6 @@ PARSE_CORPUS = [
     # --opt=value
     "sequence --max-nesting=2 --terms=15 --engine=xseries --format=json --cache-dir=cache",
     "sequence -m 2 --terms=-1 --cache-dir=a=b",
-    "sequence -m 2 -n 3 --cache-dir=",
     "verify --suite=oracle -m 2 --terms=11",
     "labels --max-nesting=2 --size=3 --engine=oracle --format=csv",
     "stats --size=6",
@@ -726,8 +736,7 @@ class TestImports:
              "inspect", "fractions", "decimal", "datetime", "argparse", "gettext", "locale",
              "json", "zlib", "pathlib", "__future__")
     # The start path: the package modules that `import nestcount.cli` loads.
-    START = {"nestcount", "nestcount.cli", "nestcount.gtree", "nestcount.series",
-             "nestcount.table1"}
+    START = {"nestcount", "nestcount.cli", "nestcount.gtree", "nestcount.series"}
     CHILD = (
         "import contextlib, io, sys\n"
         "before = set(sys.modules)\n"
@@ -763,14 +772,23 @@ class TestImports:
         new = self.loaded("stats -n 4")
         assert sorted(new.intersection(self.HEAVY)) == ["nestcount.core"]
 
+    def test_sequence_and_stats_load_no_verify_or_cache(self):
+        new = self.loaded(*(f"sequence -m 2 -n 5 --engine {e}" for e in ("gtree", "useries", "xseries")),
+                          "stats -n 4")
+        assert sorted(new.intersection({"nestcount.verify", "nestcount.cache"})) == []
+
+    def test_table1_suite_loads_verify_and_table1(self):
+        assert {"nestcount.verify", "nestcount.table1"} <= self.loaded("verify --suite table1 -m 2")
+
     def test_cache_hit_loads_no_core(self, tmp_path):
-        # the hit's Bell bound comes from table1, which the CLI loads anyway
+        # the hit's Bell bound comes from table1, which cache imports
         argv = f"sequence -m 3 -n 12 --cache-dir {tmp_path}"
         self.loaded(argv)  # an earlier process writes the record
         record = (tmp_path / "m3_gtree.json").read_bytes()
         new = self.loaded(argv)
         assert (tmp_path / "m3_gtree.json").read_bytes() == record  # read, not rewritten
-        assert "nestcount.core" not in new and {"json", "zlib", "pathlib"} <= new
+        assert "nestcount.core" not in new
+        assert {"nestcount.cache", "nestcount.table1", "json", "zlib", "pathlib"} <= new
 
     def test_bell_prefix_suite_loads_no_heavy_module(self):
         assert sorted(self.loaded("verify --suite bell-prefix -m 3").intersection(self.HEAVY)) == []
