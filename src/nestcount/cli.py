@@ -275,4 +275,7 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    # Under `python -m nestcount.cli` this module is __main__; registered under
+    # its own name too, it is not loaded a second time by verify's import of it.
+    sys.modules.setdefault(__spec__.name, sys.modules[__name__])
     sys.exit(main())

@@ -354,7 +354,12 @@ def count_nonnesting(n: int, m: int) -> int:
 
 def nonnesting_sequence(m: int, N: int) -> list[int]:
     """count_nonnesting for sizes 0..N, refusing N past the oracle ceiling
-    before any partition is enumerated."""
+    before any partition is enumerated, and m < 1 and N < 0 as the other
+    engines do."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if N < 0:
+        raise ValueError("N must be >= 0")
     check_oracle_scale(N)
     return [count_nonnesting(n, m) for n in range(N + 1)]
 

@@ -169,14 +169,22 @@ def _merge_pair(p, m, w):
     return [K for K in p if K + step not in p]
 
 
+def _merge_masks(var, w):
+    """clear, prev, first for u_{var+1} (var 0-based): a top key K's key at the
+    merge exponent a, K with u_{var+1}'s exponent set to u_var's, or to 1 for
+    var 0, is (K & clear) + ((K & prev) << w | first)."""
+    mask = (1 << w) - 1
+    prev, first = (mask << w * (var - 1), 0) if var else (0, 1)
+    return ~(mask << w * var), prev, first
+
+
 def _groups(tops, var, m, w):
     """Yield each top key with its u_{var+1} group's key at the merge exponent
-    a (var 0-based): the top key with u_{var+1}'s exponent set to u_var's, or
-    to 1 for var 0. Raises for a top key below a."""
+    a. Raises for a top key below a. Only the error paths use it: the walks
+    compute a in their own loops."""
     s = w * var
     mask = (1 << w) - 1
-    clear = ~(mask << s)
-    prev, first = (mask << s - w, 0) if var else (0, 1)
+    clear, prev, first = _merge_masks(var, w)
     for top in tops:
         base = (top & clear) + ((top & prev) << w | first)
         if top < base:
@@ -206,24 +214,31 @@ def _divide_by_var_minus_one(p, tops, var, out, m, w):
     """Add the exact quotient of p - p|merge by u_{var+1} - 1, times u_1 ..
     u_{var+1}, into out (var 0-based; the step walks u_m in `_shift`), walking
     each group from its top key in tops down to its merge exponent a, as the
-    module docstring says. Returns the keys at a that p holds: u_var's top keys."""
+    module docstring says. Each group's key at a comes from its top key and
+    `_merge_masks`; a one-key group is not walked. Returns the keys at a that
+    p holds: u_var's top keys."""
     s = w * var
     step = 1 << s
     low = (step - 1) // ((1 << w) - 1)  # u_1 .. u_var
+    clear, prev, first = _merge_masks(var, w)
     get = p.get
     seen = 0
     bases = []
-    for top, base in _groups(tops, var, m, w):
-        seen += (top - base) >> s  # every step walked, less each gap below
-        running = 0
-        for key in range(top, base, -step):
-            c = get(key)
-            if c:
-                running += c
-            else:
-                seen -= 1
-            dest = key + low
-            out[dest] = out.get(dest, 0) + running
+    for top in tops:
+        base = (top & clear) + ((top & prev) << w | first)
+        if top > base:
+            seen += (top - base) >> s  # every step walked, less each gap below
+            running = 0
+            for key in range(top, base, -step):
+                c = get(key)
+                if c:
+                    running += c
+                else:
+                    seen -= 1
+                dest = key + low
+                out[dest] = out.get(dest, 0) + running
+        elif top < base:
+            next(_groups((top,), var, m, w))  # raises, naming top and a
         if base in p:
             bases.append(base)
     _check_walked(p, tops, seen + len(bases), var, m, w)
@@ -235,27 +250,33 @@ def _shift(p, tops, m, w):
     times u_1 .. u_m, in one write per key: each key K of a u_m group, from its
     top key in tops down to its merge exponent a, sets K + (1, .., 1) to the
     group's sum from K up, p's coefficient at K (the shift) plus the
-    quotient's sum from K + u_m up. Returns it and the keys at a that p
-    holds: u_{m-1}'s top keys."""
+    quotient's sum from K + u_m up. Each group's key at a comes from its top
+    key and `_merge_masks`; a one-key group is not walked. Returns it and the
+    keys at a that p holds: u_{m-1}'s top keys."""
     s = w * (m - 1)
     step = 1 << s
     ones = _pack((1,) * m, w)
+    clear, prev, first = _merge_masks(m - 1, w)
     get = p.get
     new = {}
     seen = 0
     bases = []
-    for top, base in _groups(tops, m - 1, m, w):
-        seen += (top - base) >> s
+    for top in tops:
+        base = (top & clear) + ((top & prev) << w | first)
         running = 0
-        for key in range(top, base, -step):
-            c = get(key)
-            if not c:  # u_m's groups have no gaps (fact (B))
-                raise SeriesConsistencyError(
-                    f"exponent {key >> s} of u_{m} missing, dividing by u_{m} - 1, "
-                    f"in the group of the top key {_unpack(top, m, w)}"
-                )
-            running += c
-            new[key + ones] = running
+        if top > base:
+            seen += (top - base) >> s
+            for key in range(top, base, -step):
+                c = get(key)
+                if not c:  # u_m's groups have no gaps (fact (B))
+                    raise SeriesConsistencyError(
+                        f"exponent {key >> s} of u_{m} missing, dividing by u_{m} - 1, "
+                        f"in the group of the top key {_unpack(top, m, w)}"
+                    )
+                running += c
+                new[key + ones] = running
+        elif top < base:
+            next(_groups((top,), m - 1, m, w))  # raises, naming top and a
         c = get(base)
         if c:
             running += c

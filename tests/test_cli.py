@@ -10,7 +10,7 @@ import pytest
 
 from nestcount import __version__, core, formulas, gtree, series
 from nestcount.cli import (COMMANDS, ENGINES, SUITES, _parse, cmd_labels, cmd_sequence,
-                           cmd_stats, cmd_verify, main)
+                           cmd_stats, cmd_verify, engine_fn, main)
 
 
 def run_cli(capsys, *argv):
@@ -273,6 +273,14 @@ class TestEngineRegistry:
         code, out = run_cli(capsys, "sequence", "-m", "2", "-n", "3", "--engine", "xseries")
         assert code == 0 and calls == [(2, 3)]
         assert out == "n,count\n0,1\n1,1\n2,1\n3,1\n"
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("m, N, message", [(0, 3, "m must be >= 1"), (-1, 3, "m must be >= 1"),
+                                               (2, -1, "N must be >= 0")], ids=["m=0", "m=-1", "N=-1"])
+    def test_every_engine_refuses_bad_m_and_N(self, engine, m, N, message):
+        # the CLI refuses these first, so only a direct call reaches the engine
+        with pytest.raises(ValueError, match=message):
+            engine_fn(engine)(m, N)
 
 
 class TestVerify:
@@ -795,6 +803,19 @@ class TestImports:
 
     def test_csv_labels_loads_no_heavy_module(self):
         assert sorted(self.loaded("labels -m 2 -n 5").intersection(self.HEAVY)) == []
+
+    def test_module_run_loads_cli_once(self):
+        # under -m, cli.py runs as __main__; verify's import of nestcount.cli
+        # must find that module, not load cli.py a second time
+        src = os.path.dirname(os.path.dirname(os.path.abspath(gtree.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        argv = [sys.executable, "-X", "importtime", "-m", "nestcount.cli", "verify", "--suite", "catalan", "-n", "3"]
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                    if line.startswith("import time:")]
+        assert "nestcount.verify" in imported
+        assert "nestcount.cli" not in imported
 
 
 class TestDeterminism:

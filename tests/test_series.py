@@ -162,7 +162,9 @@ class TestUEngine:
         with pytest.raises(ValueError):
             u_series(2, -1)
 
-    @pytest.mark.parametrize("m,N", [(1, 12), (2, 12), (3, 12), (4, 12), (5, 12), (6, 9)])
+    # at (7, 8) and (8, 8) every u_m group and 82-85% of all groups are one key,
+    # which the walks do not loop over
+    @pytest.mark.parametrize("m,N", [(1, 12), (2, 12), (3, 12), (4, 12), (5, 12), (6, 9), (7, 8), (8, 8)])
     def test_fused_step_equals_unfused_chain(self, m, N):
         assert u_series(m, N) == u_series_by_chain(m, N)
 
@@ -818,6 +820,11 @@ class TestCrossEngine:
     def test_bell_past_half_n(self, engine, m, N):
         # an m-nesting needs 2m elements, so past m = N // 2 every count is Bell
         assert engine(m, N) == core.bell_numbers(N)
+
+    @pytest.mark.parametrize("m, N", [(6, 22), (7, 18)])
+    def test_u_engine_matches_gtree_where_groups_are_one_key(self, m, N):
+        # one key: 49% of all walks' groups (83% of u_m's) at (6, 22), 72% (99%) at (7, 18)
+        assert u_engine(m, N) == gtree.sequence(m, N)
 
     @pytest.mark.parametrize("m, N, ran", [(9, 8, 4), (9, 3, 1), (4, 8, 4), (2, 9, 2)])
     def test_engines_run_at_clamped_m(self, monkeypatch, m, N, ran):
