@@ -19,6 +19,7 @@ whose import and parser build took about half the time of a
 `sequence -m 2 -n 31 --engine xseries` call.
 """
 
+import os
 import sys
 import time
 from importlib import import_module
@@ -216,6 +217,7 @@ def _parse(argv: list[str]):
     command, rest = argv[0], iter(argv[1:])
     if command in ("-h", "--help", "--version"):
         sys.stdout.write(f"{__version__}\n" if command == "--version" else _help())
+        sys.stdout.flush()
         raise SystemExit(0)
     if command.startswith("-"):
         _usage(f"unknown option {command!r}")
@@ -227,6 +229,7 @@ def _parse(argv: list[str]):
     for tok in rest:
         if tok in ("-h", "--help"):
             sys.stdout.write(_help(command))
+            sys.stdout.flush()
             raise SystemExit(0)
         name, eq, text = tok.partition("=") if tok.startswith("--") else (tok, "", "")
         if name not in by_name:
@@ -256,22 +259,27 @@ def _parse(argv: list[str]):
 
 
 def main(argv=None) -> int:
-    args = _parse(sys.argv[1:] if argv is None else argv)
-    m = getattr(args, "max_nesting", None)
-    n = getattr(args, "terms", getattr(args, "size", None))
-    n_min = 1 if args.command == "verify" else 0  # a suite at n = 0 checks nothing
     try:
+        args = _parse(sys.argv[1:] if argv is None else argv)
+        m = getattr(args, "max_nesting", None)
+        n = getattr(args, "terms", getattr(args, "size", None))
+        n_min = 1 if args.command == "verify" else 0  # a suite at n = 0 checks nothing
         if m is not None and m < 1:
             raise ValueError(f"m must be >= 1, not {m}")
         if n is not None and n < n_min:
             raise ValueError(f"n must be >= {n_min}, not {n}")
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return code
     except SeriesConsistencyError as exc:
         print(f"internal consistency error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:  # the reader closed stdout: exit quietly, with 128 + SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

@@ -150,8 +150,6 @@ def m2_full_expression(n: int, marginals: list[dict], as_printed: bool = False) 
             for l2 in range(M - l1 + 1):
                 l3 = M - l1 - l2
                 base = _multinom3(M, l1, l2, l3)
-                if not base:
-                    continue
                 t2b_sum = (n - 2 - l2) if as_printed else (nn - 2 - l2)
                 for k in marginals[nstar]:
                     inner = 0

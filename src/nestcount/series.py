@@ -178,31 +178,24 @@ def _merge_masks(var, w):
     return ~(mask << w * var), prev, first
 
 
-def _groups(tops, var, m, w):
-    """Yield each top key with its u_{var+1} group's key at the merge exponent
-    a. Raises for a top key below a. Only the error paths use it: the walks
-    compute a in their own loops."""
-    s = w * var
-    mask = (1 << w) - 1
-    clear, prev, first = _merge_masks(var, w)
-    for top in tops:
-        base = (top & clear) + ((top & prev) << w | first)
-        if top < base:
-            raise SeriesConsistencyError(
-                f"exponent {(top >> s) & mask} of u_{var + 1} below the merge exponent "
-                f"{(base >> s) & mask}, dividing by u_{var + 1} - 1, "
-                f"in the monomial {_unpack(top, m, w)}"
-            )
-        yield top, base
+def _below_merge(top, base, var, m, w):
+    """The walks' error for a top key below base, its group's key at a."""
+    s, mask = w * var, (1 << w) - 1
+    return SeriesConsistencyError(
+        f"exponent {(top >> s) & mask} of u_{var + 1} below the merge exponent "
+        f"{(base >> s) & mask}, dividing by u_{var + 1} - 1, in the monomial {_unpack(top, m, w)}"
+    )
 
 
 def _check_walked(p, tops, seen, var, m, w):
     """Raise, naming the keys of p that no group's walk reaches, unless seen
     (the walks' steps less their gaps, plus the keys at a found in p) is the
-    size of p."""
+    size of p. The walk has raised already for a top key below a."""
     if seen != len(p):
         step = 1 << w * var
-        walked = {K for top, base in _groups(tops, var, m, w) for K in range(top, base - 1, -step)}
+        clear, prev, first = _merge_masks(var, w)
+        bases = ((top, (top & clear) + ((top & prev) << w | first)) for top in tops)
+        walked = {K for top, base in bases for K in range(top, base - 1, -step)}
         missed = [_unpack(K, m, w) for K in sorted(p) if K not in walked]
         raise SeriesConsistencyError(
             f"{seen} of {len(p)} monomials walked or at the merge exponent, dividing by "
@@ -214,9 +207,9 @@ def _divide_by_var_minus_one(p, tops, var, out, m, w):
     """Add the exact quotient of p - p|merge by u_{var+1} - 1, times u_1 ..
     u_{var+1}, into out (var 0-based; the step walks u_m in `_shift`), walking
     each group from its top key in tops down to its merge exponent a, as the
-    module docstring says. Each group's key at a comes from its top key and
-    `_merge_masks`; a one-key group is not walked. Returns the keys at a that
-    p holds: u_var's top keys."""
+    module docstring says. A one-key group is not walked, and a top key below
+    a raises `_below_merge`'s error. Returns the keys at a that p holds:
+    u_var's top keys."""
     s = w * var
     step = 1 << s
     low = (step - 1) // ((1 << w) - 1)  # u_1 .. u_var
@@ -238,7 +231,7 @@ def _divide_by_var_minus_one(p, tops, var, out, m, w):
                 dest = key + low
                 out[dest] = out.get(dest, 0) + running
         elif top < base:
-            next(_groups((top,), var, m, w))  # raises, naming top and a
+            raise _below_merge(top, base, var, m, w)
         if base in p:
             bases.append(base)
     _check_walked(p, tops, seen + len(bases), var, m, w)
@@ -250,9 +243,9 @@ def _shift(p, tops, m, w):
     times u_1 .. u_m, in one write per key: each key K of a u_m group, from its
     top key in tops down to its merge exponent a, sets K + (1, .., 1) to the
     group's sum from K up, p's coefficient at K (the shift) plus the
-    quotient's sum from K + u_m up. Each group's key at a comes from its top
-    key and `_merge_masks`; a one-key group is not walked. Returns it and the
-    keys at a that p holds: u_{m-1}'s top keys."""
+    quotient's sum from K + u_m up. A one-key group is not walked, and a top
+    key below a raises `_below_merge`'s error. Returns it and the keys at a
+    that p holds: u_{m-1}'s top keys."""
     s = w * (m - 1)
     step = 1 << s
     ones = _pack((1,) * m, w)
@@ -276,7 +269,7 @@ def _shift(p, tops, m, w):
                 running += c
                 new[key + ones] = running
         elif top < base:
-            next(_groups((top,), m - 1, m, w))  # raises, naming top and a
+            raise _below_merge(top, base, m - 1, m, w)
         c = get(base)
         if c:
             running += c

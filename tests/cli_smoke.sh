@@ -13,7 +13,9 @@ if [ ${#prefix[@]} = 0 ]; then
     echo "usage: $0 COMMAND-PREFIX..." >&2
     exit 2
 fi
-nestcount() { "${prefix[@]}" "$@"; }
+# `command` runs the prefix itself: a prefix of `nestcount` would otherwise
+# call this function again, without end.
+nestcount() { command "${prefix[@]}" "$@"; }
 script=$(realpath "$0")
 # A failure inside nestcount() is named by the script line that called it;
 # any other by the failed command itself.
@@ -53,6 +55,8 @@ test "$code" = 2  # an empty --cache-dir is a usage error, not a run with no cac
 test ! -s "$cache/usage.out"
 test "$(wc -l < "$cache/usage.err")" = 1
 grep -q '^error: ' "$cache/usage.err"
+{ nestcount sequence -m 2 -n 10 || test $? = 141; } 2> "$cache/pipe.err" | true
+test ! -s "$cache/pipe.err"  # a reader that closes stdout early: exit 141, no traceback
 nestcount verify --suite table1
 nestcount verify --suite catalan
 nestcount verify --suite labels

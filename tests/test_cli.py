@@ -259,6 +259,20 @@ class TestCache:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["m2_gtree.json"]
 
+    def test_decreasing_record_recomputed(self, capsys, tmp_path):
+        # term 6 lowered below term 5; at n = 6 >= 2(m + 1) the Bell prefix
+        # does not reach it, so only the nondecreasing check rejects the record
+        args = ["sequence", "-m", "1", "-n", "8", "--cache-dir", str(tmp_path)]
+        run_cli(capsys, *args)
+        path = tmp_path / "m1_gtree.json"
+        record = json.loads(path.read_text())
+        assert record["terms"][5:7] == ["42", "132"]
+        record["terms"][6] = "41"
+        path.write_text(json.dumps(record))
+        code, out = run_cli(capsys, *args)
+        assert code == 0 and out.splitlines()[-3:] == ["6,132", "7,429", "8,1430"]
+        assert json.loads(path.read_text())["terms"][6] == "132"
+
 
 class TestEngineRegistry:
     def test_engines_resolved_at_call_time(self, capsys, monkeypatch):
@@ -273,6 +287,16 @@ class TestEngineRegistry:
         code, out = run_cli(capsys, "sequence", "-m", "2", "-n", "3", "--engine", "xseries")
         assert code == 0 and calls == [(2, 3)]
         assert out == "n,count\n0,1\n1,1\n2,1\n3,1\n"
+
+    def test_consistency_error_exits_1(self, capsys, monkeypatch):
+        def broken(m, N):
+            raise series.SeriesConsistencyError("u-engine, m=2, t-order 3: a test fault")
+
+        monkeypatch.setattr(series, "u_engine", broken)
+        code = main(["sequence", "-m", "2", "-n", "5", "--engine", "useries"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "internal consistency error: u-engine, m=2, t-order 3: a test fault\n"
 
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("m, N, message", [(0, 3, "m must be >= 1"), (-1, 3, "m must be >= 1"),
@@ -816,6 +840,28 @@ class TestImports:
                     if line.startswith("import time:")]
         assert "nestcount.verify" in imported
         assert "nestcount.cli" not in imported
+
+
+class TestClosedStdout:
+    # A reader that closes stdout early (`nestcount ... | head -1`) ends the
+    # run quietly: a short output fails at main's flush, a long one at a write.
+    # Checked with stdout block-buffered, as it is by default, and unbuffered.
+    @pytest.mark.parametrize("flags", [[], ["-u"]], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", ["sequence -m 2 -n 5", "sequence -m 2 -n 150",
+                                      "verify --suite catalan -n 3", "--help", "stats -h"])
+    def test_no_traceback_when_reader_is_gone(self, argv, flags):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(gtree.__file__)))
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = src
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run([sys.executable, *flags, "-m", "nestcount.cli", *argv.split()], env=env,
+                                  stdout=write, stderr=subprocess.PIPE, text=True, timeout=120)
+        finally:
+            os.close(write)
+        assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+        assert proc.stderr == "" and proc.returncode == 141
 
 
 class TestDeterminism:

@@ -217,6 +217,17 @@ class TestUEngine:
         with pytest.raises(SeriesConsistencyError, match=r"1 of 2 .* not walked: \[\(2, 3\)\]"):
             series._divide_by_var_minus_one(p, tops, 1, {}, 2, 3)
 
+    def test_division_rejects_top_key_below_merge_exponent(self):
+        # at m = 3, u_2 merges at u_1's exponent 3; the top key u_1^3 u_2^2 u_3^2
+        # lies below it, so u_2's walk raises before it reads anything
+        p = packed({(3, 2, 2): 1}, 3)
+        with pytest.raises(
+            SeriesConsistencyError,
+            match=r"^exponent 2 of u_2 below the merge exponent 3, dividing by u_2 - 1, "
+            r"in the monomial \(3, 2, 2\)$",
+        ):
+            series._divide_by_var_minus_one(p, list(p), 1, {}, 3, 3)
+
     def test_division_rejects_group_walked_twice(self):
         # u_2's exponents 2 and 4 with a gap at 3: the top pass finds a top key
         # at each, so the group would be walked twice; the gap raises first
