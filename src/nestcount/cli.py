@@ -16,7 +16,9 @@ with this module. The verify suites live in verify, loaded only by
 decimal are imported where they are used.
 Arguments are read from the COMMANDS table by _parse, not by argparse,
 whose import and parser build took about half the time of a
-`sequence -m 2 -n 31 --engine xseries` call.
+`sequence -m 2 -n 31 --engine xseries` call. An integer option's kind in
+COMMANDS is its least value, so the table holds every range check too. main
+returns the exit code of every argv; each usage error is a ValueError.
 """
 
 import os
@@ -148,38 +150,33 @@ REQUIRED = object()  # the default of an option that must be given
 M_HELP = "bound m on the maximal nesting number; counts partitions avoiding an (m+1)-nesting"
 
 # Command name -> (function, help line, options). An option is (long name,
-# short name or None, kind, default or REQUIRED, help): kind is int, str or
-# the tuple or dict of the values allowed. Its value is stored under _dest
-# of its long name, as argparse named it.
+# short name or None, kind, default or REQUIRED, help): kind is the least
+# value of an integer option, str, or the tuple or dict of the values
+# allowed. Its value is stored under _dest of its long name, as argparse
+# named it. verify's -n is at least 1, since a suite at n = 0 checks nothing.
 COMMANDS = {
     "sequence": (cmd_sequence, "compute a counting sequence", (
-        ("--max-nesting", "-m", int, REQUIRED, M_HELP),
-        ("--terms", "-n", int, REQUIRED, "largest size N; output rows run n=0..N (n=0 has count 1)"),
+        ("--max-nesting", "-m", 1, REQUIRED, M_HELP),
+        ("--terms", "-n", 0, REQUIRED, "largest size N; output rows run n=0..N (n=0 has count 1)"),
         ("--engine", None, ENGINES, "gtree", ""),
         ("--format", None, ("json", "csv"), "csv", ""),
         ("--cache-dir", None, str, None, "cache file m{M}_{engine}.json"),
     )),
     "verify": (cmd_verify, "run a verification suite", (
         ("--suite", None, SUITES, REQUIRED, ""),
-        ("--max-nesting", "-m", int, None, M_HELP),
-        ("--terms", "-n", int, None, ""),
+        ("--max-nesting", "-m", 1, None, M_HELP),
+        ("--terms", "-n", 1, None, ""),
     )),
     "labels": (cmd_labels, "dump a label distribution", (
-        ("--max-nesting", "-m", int, REQUIRED, M_HELP),
-        ("--size", "-n", int, REQUIRED, ""),
+        ("--max-nesting", "-m", 1, REQUIRED, M_HELP),
+        ("--size", "-n", 0, REQUIRED, ""),
         ("--engine", None, ("gtree", "oracle"), "gtree", ""),
         ("--format", None, ("json", "csv"), "csv", ""),
     )),
     "stats": (cmd_stats, "joint nesting/crossing distribution", (
-        ("--size", "-n", int, REQUIRED, ""),
+        ("--size", "-n", 0, REQUIRED, ""),
     )),
 }
-
-
-def _usage(message: str):
-    """A usage error: one line on stderr, exit code 2."""
-    sys.stderr.write(f"error: {message}\n")
-    raise SystemExit(2)
 
 
 def _flags(long, short) -> str:
@@ -201,7 +198,7 @@ def _help(command=None) -> str:
     _, text, options = COMMANDS[command]
     lines = [f"usage: nestcount {command} [-h] [options]", "", text, "", "options:"]
     for long, short, kind, default, about in options:
-        value = _dest(long).upper() if kind in (int, str) else "{" + ",".join(kind) + "}"
+        value = "{" + ",".join(kind) + "}" if isinstance(kind, (tuple, dict)) else _dest(long).upper()
         when = "required" if default is REQUIRED else "optional" if default is None else f"default {default}"
         lines.append(f"  {_flags(long, short)} {value}  ({when}) {about}".rstrip())
     return "\n".join(lines) + "\n"
@@ -209,66 +206,62 @@ def _help(command=None) -> str:
 
 def _parse(argv: list[str]):
     """argv read against COMMANDS: a namespace of the command, its function
-    (fn) and every option's value. Takes --opt value, --opt=value and
-    -x value, the last of a repeated option winning; -h/--help and --version
-    print to stdout and exit 0, and anything else exits through _usage."""
+    (fn) and every option's value, or the text of -h/--help/--version. Takes
+    --opt value, --opt=value and -x value, the last of a repeated option
+    winning, and checks each integer option's final value against its least
+    value. Any usage error raises ValueError with a one-line message."""
     if not argv:
-        _usage(f"missing command: one of {', '.join(COMMANDS)}")
+        raise ValueError(f"missing command: one of {', '.join(COMMANDS)}")
     command, rest = argv[0], iter(argv[1:])
     if command in ("-h", "--help", "--version"):
-        sys.stdout.write(f"{__version__}\n" if command == "--version" else _help())
-        sys.stdout.flush()
-        raise SystemExit(0)
+        return f"{__version__}\n" if command == "--version" else _help()
     if command.startswith("-"):
-        _usage(f"unknown option {command!r}")
+        raise ValueError(f"unknown option {command!r}")
     if command not in COMMANDS:
-        _usage(f"unknown command {command!r}: one of {', '.join(COMMANDS)}")
+        raise ValueError(f"unknown command {command!r}: one of {', '.join(COMMANDS)}")
     fn, _, options = COMMANDS[command]
     by_name = {name: opt for opt in options for name in opt[:2] if name}
     values = {}
     for tok in rest:
         if tok in ("-h", "--help"):
-            sys.stdout.write(_help(command))
-            sys.stdout.flush()
-            raise SystemExit(0)
+            return _help(command)
         name, eq, text = tok.partition("=") if tok.startswith("--") else (tok, "", "")
         if name not in by_name:
-            _usage(f"unknown option {name!r}" if tok.startswith("-") else f"unexpected argument {tok!r}")
+            raise ValueError(f"unknown option {name!r}" if tok.startswith("-") else f"unexpected argument {tok!r}")
         long, short, kind, _, _ = by_name[name]
         if not eq:
             text = next(rest, None)
             # a value may be a negative integer, but no other option-like token
             if text is None or text.startswith("-") and not text[1:].isdecimal():
-                _usage(f"option {_flags(long, short)} needs a value")
-        if kind is int:
+                raise ValueError(f"option {_flags(long, short)} needs a value")
+        if isinstance(kind, int):
             try:
                 text = int(text)
             except ValueError:
-                _usage(f"option {_flags(long, short)}: {text!r} is not an integer")
+                raise ValueError(f"option {_flags(long, short)}: {text!r} is not an integer")
         elif kind is str and not text:
-            _usage(f"option {_flags(long, short)} needs a non-empty value")
+            raise ValueError(f"option {_flags(long, short)} needs a non-empty value")
         elif kind is not str and text not in kind:
-            _usage(f"option {_flags(long, short)}: {text!r} is not one of {', '.join(kind)}")
+            raise ValueError(f"option {_flags(long, short)}: {text!r} is not one of {', '.join(kind)}")
         values[_dest(long)] = text
-    for long, short, _, default, _ in options:
-        if _dest(long) not in values:
-            if default is REQUIRED:
-                _usage(f"missing option {_flags(long, short)}")
-            values[_dest(long)] = default
+    for long, short, kind, default, _ in options:
+        value = values.setdefault(_dest(long), default)
+        if value is REQUIRED:
+            raise ValueError(f"missing option {_flags(long, short)}")
+        if isinstance(kind, int) and value is not None and value < kind:
+            raise ValueError(f"option {_flags(long, short)} must be >= {kind}, not {value}")
     return SimpleNamespace(command=command, fn=fn, **values)
 
 
 def main(argv=None) -> int:
+    """Run the CLI on argv (sys.argv[1:] by default) and return its exit code."""
     try:
         args = _parse(sys.argv[1:] if argv is None else argv)
-        m = getattr(args, "max_nesting", None)
-        n = getattr(args, "terms", getattr(args, "size", None))
-        n_min = 1 if args.command == "verify" else 0  # a suite at n = 0 checks nothing
-        if m is not None and m < 1:
-            raise ValueError(f"m must be >= 1, not {m}")
-        if n is not None and n < n_min:
-            raise ValueError(f"n must be >= {n_min}, not {n}")
-        code = args.fn(args)
+        if isinstance(args, str):  # the text of -h, --help or --version
+            sys.stdout.write(args)
+            code = 0
+        else:
+            code = args.fn(args)
         sys.stdout.flush()  # a closed stdout raises here, not at exit
         return code
     except SeriesConsistencyError as exc:

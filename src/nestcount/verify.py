@@ -114,8 +114,7 @@ def suite_bell_prefix(m, N):
         if last == 2 * mm + 2:
             want[-1] -= 1
             detail += f", Bell-1 at n={last}"
-        seq = gtree.sequence(mm, top)
-        out.append(_agree(f"bell-prefix m={mm}", seq[: last + 1], want, detail))
+        out.append(_agree(f"bell-prefix m={mm}", gtree.sequence(mm, last), want, detail))
     return out
 
 

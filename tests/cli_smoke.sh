@@ -55,6 +55,12 @@ test "$code" = 2  # an empty --cache-dir is a usage error, not a run with no cac
 test ! -s "$cache/usage.out"
 test "$(wc -l < "$cache/usage.err")" = 1
 grep -q '^error: ' "$cache/usage.err"
+code=0
+nestcount stats -n -1 > "$cache/usage.out" 2> "$cache/usage.err" || code=$?
+test "$code" = 2  # a value below an option's least is a usage error that names the option
+test ! -s "$cache/usage.out"
+test "$(wc -l < "$cache/usage.err")" = 1
+grep -q '^error: .*--size' "$cache/usage.err"
 { nestcount sequence -m 2 -n 10 || test $? = 141; } 2> "$cache/pipe.err" | true
 test ! -s "$cache/pipe.err"  # a reader that closes stdout early: exit 141, no traceback
 nestcount verify --suite table1
@@ -62,6 +68,7 @@ nestcount verify --suite catalan
 nestcount verify --suite labels
 nestcount verify --suite labels -m 3 -n 7
 nestcount verify --suite bell-prefix
+nestcount verify --suite bell-prefix -n 60  # builds only n <= 2m+2, the terms it checks: 0.1 s, not minutes
 nestcount verify --suite m2-formula
 nestcount verify --suite m2-formula -n 15
 nestcount verify --suite equidistribution

@@ -8,7 +8,7 @@ import zlib
 
 import pytest
 
-from nestcount import __version__, core, formulas, gtree, series
+from nestcount import __version__, core, formulas, gtree, series, verify
 from nestcount.cli import (COMMANDS, ENGINES, SUITES, _parse, cmd_labels, cmd_sequence,
                            cmd_stats, cmd_verify, engine_fn, main)
 
@@ -26,7 +26,8 @@ def wrong_list(fn, n):
     """fn, a term-list function, with its entry n raised by one."""
     def wrong(*args, **kwargs):
         out = list(fn(*args, **kwargs))
-        out[n] += 1
+        if n < len(out):
+            out[n] += 1
         return out
     return wrong
 
@@ -81,9 +82,7 @@ class TestSequence:
         assert code == 2
 
     def test_unknown_engine_is_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["sequence", "-m", "1", "--terms", "3", "--engine", "magic"])
-        assert exc.value.code == 2
+        assert main(["sequence", "-m", "1", "--terms", "3", "--engine", "magic"]) == 2
 
 
 class TestCache:
@@ -397,9 +396,7 @@ class TestVerify:
         assert "PASS labels n=5: m=2, gtree level vs enumeration\n" in out
 
     def test_unknown_suite_is_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "--suite", "nope"])
-        assert exc.value.code == 2
+        assert main(["verify", "--suite", "nope"]) == 2
 
     def test_table1_names_covered_m_values(self, capsys):
         code = main(["verify", "--suite", "table1", "-m", "9"])
@@ -447,6 +444,20 @@ class TestVerify:
         code, out = run_cli(capsys, "verify", "--suite", "cross-engine", "-m", "2", "--terms", "5")
         assert code == 1
         assert "FAIL cross-engine xseries: m=2, N=5 vs gtree; length 5 != 6\n" in out
+
+    def test_bell_prefix_builds_only_the_terms_it_checks(self, monkeypatch):
+        # bell-prefix compares n <= 2m+2 at each m; a longer gtree sequence is
+        # wasted work (-n 60 once took minutes to check n <= 14)
+        calls, sequence = [], gtree.sequence
+
+        def recorded(m, N):
+            calls.append((m, N))
+            return sequence(m, min(N, 2 * m + 2))
+
+        monkeypatch.setattr(gtree, "sequence", recorded)
+        verify.suite_bell_prefix(None, 60)
+        assert [m for m, _ in calls] == list(range(1, 7))
+        assert [(m, N) for m, N in calls if N > 2 * m + 2] == []
 
     def test_bell_prefix_fail_at_bell_minus_one(self, capsys, monkeypatch):
         monkeypatch.setattr(gtree, "sequence", wrong_list(gtree.sequence, 6))
@@ -595,10 +606,9 @@ class TestUsageErrors:
              "empty-cache-dir-joined"],
     )
     def test_parse_error_is_one_line(self, capsys, argv, token):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
+        code = main(argv)
         captured = capsys.readouterr()
-        assert exc.value.code == 2
+        assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert token in captured.err
@@ -652,9 +662,10 @@ def reference_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Valid argvs: every command of the README and of CI, every argv the tests
-# and the benchmark pass to main, and the --opt=value and repeated forms.
-# Range errors (-n -1, -m 0) parse, and main rejects them after.
+# Valid argvs: every command of the README and of CI, every valid argv the
+# tests and the benchmark pass to main, and the --opt=value and repeated
+# forms. Range errors (-n -1, -m 0) are usage errors of _parse, which
+# argparse never checked; RANGE_ERRORS holds them.
 PARSE_CORPUS = [
     # README
     "sequence --max-nesting 2 --terms 15",
@@ -694,23 +705,18 @@ PARSE_CORPUS = [
     "sequence -m 2 -n 400 --cache-dir cache",
     "sequence -m 2 -n 3 --engine xseries",
     "sequence -m 3 --terms 12 --format json",
-    "sequence -m 2 -n -1 --engine useries",
-    "sequence -m -1 -n 3 --engine oracle",
     "verify --suite table1 --max-nesting 4 --terms 15",
     "verify --suite bell-prefix --max-nesting 6 --terms 14",
     "verify --suite equidistribution -m 2 -n 7",
     "verify --suite table1 -m 9",
     "verify --suite catalan -n 9",
     "verify --suite m2-formula -n 8",
-    "verify --suite equidistribution -m -1",
-    "verify --suite m2-formula -n -1",
     "labels -m 2 -n 0",
     "labels -m 2 -n 3 --engine oracle --format json",
-    "labels -m 2 -n -1",
     "stats -n 14",
     # --opt=value
     "sequence --max-nesting=2 --terms=15 --engine=xseries --format=json --cache-dir=cache",
-    "sequence -m 2 --terms=-1 --cache-dir=a=b",
+    "sequence -m 2 --terms=4 --cache-dir=a=b",
     "verify --suite=oracle -m 2 --terms=11",
     "labels --max-nesting=2 --size=3 --engine=oracle --format=csv",
     "stats --size=6",
@@ -725,36 +731,53 @@ PARSE_CORPUS = [
 ]
 
 
+# Argvs that parse as argparse read them but have an integer option below
+# its least value in COMMANDS, with the flag that the error names.
+RANGE_ERRORS = [
+    ("sequence -m 2 -n -1 --engine useries", "-n/--terms"),
+    ("sequence -m -1 -n 3 --engine oracle", "-m/--max-nesting"),
+    ("verify --suite equidistribution -m -1", "-m/--max-nesting"),
+    ("verify --suite m2-formula -n -1", "-n/--terms"),
+    ("labels -m 2 -n -1", "-n/--size"),
+    ("sequence -m 2 --terms=-1 --cache-dir=a=b", "-n/--terms"),
+]
+
+
 class TestParse:
     @pytest.mark.parametrize("argv", PARSE_CORPUS)
     def test_agrees_with_reference(self, argv):
         assert vars(_parse(argv.split())) == vars(reference_parser().parse_args(argv.split()))
 
+    @pytest.mark.parametrize("argv, flag", RANGE_ERRORS, ids=[argv for argv, _ in RANGE_ERRORS])
+    def test_range_error_names_its_flag(self, capsys, argv, flag):
+        reference_parser().parse_args(argv.split())  # argparse took it
+        code = main(argv.split())
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(f"error: option {flag} must be >= ")
+
     @pytest.mark.parametrize("flag", ["-h", "--help"])
     def test_help_names_every_command(self, capsys, flag):
-        with pytest.raises(SystemExit) as exc:
-            main([flag])
+        code = main([flag])
         out = capsys.readouterr().out
-        assert exc.value.code == 0
+        assert code == 0
         assert out.startswith("usage: nestcount ")
         assert all(f"  {name} " in out for name in COMMANDS)
 
     @pytest.mark.parametrize("flag", ["-h", "--help"])
     @pytest.mark.parametrize("command", list(COMMANDS))
     def test_command_help_names_every_option(self, capsys, command, flag):
-        with pytest.raises(SystemExit) as exc:
-            main([command, flag, "--bogus"])
+        code = main([command, flag, "--bogus"])
         out = capsys.readouterr().out
-        assert exc.value.code == 0
+        assert code == 0
         assert out.startswith(f"usage: nestcount {command} ")
         for long, short, kind, _, _ in COMMANDS[command][2]:
             assert long in out and (short is None or short in out)
-            assert kind in (int, str) or all(choice in out for choice in kind)
+            assert isinstance(kind, int) or kind is str or all(choice in out for choice in kind)
 
     def test_version(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["--version"])
-        assert exc.value.code == 0
+        assert main(["--version"]) == 0
         assert capsys.readouterr().out == f"{__version__}\n"
 
 

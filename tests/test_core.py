@@ -132,6 +132,11 @@ class TestSetPartition:
         with pytest.raises(ValueError, match="blocks must partition"):
             SetPartition.from_blocks(blocks)
 
+    @pytest.mark.parametrize("blocks", [[[2]], [[1], [3]], [[0, 1]]])
+    def test_from_blocks_rejects_elements_not_1_to_n(self, blocks):
+        with pytest.raises(ValueError, match="blocks must partition"):
+            SetPartition.from_blocks(blocks)
+
     def test_block_order_by_descending_max(self):
         assert RUNNING_EXAMPLE.blocks_by_max_desc() == [
             [2, 5, 6, 8],
@@ -274,6 +279,10 @@ class TestLabel:
 
     def test_singletons_of_2(self):
         assert label(SetPartition((1, 2)), 2) == (3, 3)
+
+    def test_rejects_m_below_1(self):
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            label(RUNNING_EXAMPLE, 0)
 
     def test_labels_nondecreasing(self):
         for n in range(8):
@@ -433,3 +442,7 @@ class TestBellNumbers:
 
     def test_bell_14(self):
         assert bell_numbers(14)[14] == 190899322
+
+    def test_negative_rejected(self):
+        with pytest.raises(ValueError, match="N must be >= 0"):
+            bell_numbers(-1)

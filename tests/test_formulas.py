@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from nestcount import core, formulas, gtree, series
@@ -40,6 +42,11 @@ class TestCatalan:
     def test_convolution_identity(self):
         assert catalan_convolution_check(30)
 
+    def test_convolution_detects_wrong_term(self, monkeypatch):
+        catalan = formulas.catalan
+        monkeypatch.setattr(formulas, "catalan", lambda k: catalan(k) + (k == 3))
+        assert not catalan_convolution_check(5)
+
 
 class TestM2FirstTerm:
     def test_n0(self):
@@ -48,6 +55,15 @@ class TestM2FirstTerm:
     def test_matches_ct_oracle(self):
         for n in range(13):
             assert m2_first_term(n) == ct_reference("first", n)
+
+    def test_non_integer_sum_raises(self, monkeypatch):
+        # a whole-number slip in one multinomial keeps the sum integral, so
+        # only a fractional one reaches the integrality guard
+        multinom3 = formulas._multinom3
+        monkeypatch.setattr(formulas, "_multinom3", lambda *args: multinom3(*args)
+                            + (Fraction(1, 3) if args == (2, 0, 0, 2) else 0))
+        with pytest.raises(series.SeriesConsistencyError, match="non-integer first-term sum at n=2: 40/3"):
+            m2_first_term(2)
 
 
 class TestCTReference:
@@ -78,6 +94,12 @@ class TestM2FullExpression:
         assert m2_full_expression(1, marginals) == 1
         assert m2_full_expression(8, marginals) == 3930
         assert m2_full_expression(10, marginals) == 97566
+
+    def test_non_integer_value_raises(self, marginals):
+        bad = [dict(dist) for dist in marginals]
+        bad[1][2] += Fraction(1, 3)
+        with pytest.raises(series.SeriesConsistencyError, match="non-integer assembled value at n=2"):
+            m2_full_expression(2, bad)
 
     def test_matches_reference_row(self, marginals):
         got = [m2_full_expression(n, marginals) for n in range(11)]

@@ -812,6 +812,17 @@ class TestVIdentity:
         assert v_identity_check(3, 10, [(1, 2, 3), (Fraction(1, 2), -1, 4)])
         assert v_identity_check(4, 8, [(1, 1, 2, 3), (2, Fraction(-1, 3), 1, 5)])
 
+    def test_wrong_coefficient_detected(self, monkeypatch):
+        u_series = series.u_series
+
+        def wrong(m, N):
+            out = u_series(m, N)
+            out[2][next(iter(out[2]))] += 1
+            return out
+
+        monkeypatch.setattr(series, "u_series", wrong)
+        assert not v_identity_check(2, 4, [(1, 2), (3, 5)])
+
     def test_invalid_point(self):
         with pytest.raises(ValueError):
             v_identity_check(2, 3, [(0, 1)])
