@@ -26,11 +26,13 @@ prefix at distinct a_m), a running sum (counts of rows with distinct a_j, at
 one a_m; for j = m - 1 each row starts at its own a_j, and the shift keeps
 each field at one a_m). Or it is a partial sum of one level-(n + 1) count,
 so at most total(n + 1): a child row's field only adds what goes to its one
-child label. total() of level n or n + 1 sums the rows field-wise, so
-field i sums the counts of distinct prefixes at a_m = a_{m-1} + i, and its
-passes form sums of those, all at most that level's total. The bound holds
-at the root, and each step restores it, so every field of every level fits
-in w bits.
+child label. The a_{m-1} walk's write, a running sum plus a row's suffix
+sums, is such a partial sum: field i of both goes to the same child label,
+(a_1 + 1,..,a_{m-1} + 1, a_{m-1} + 1 + i) of the written key. total() of
+level n or n + 1 sums the rows field-wise, so field i sums the counts of
+distinct prefixes at a_m = a_{m-1} + i, and its passes form sums of those,
+all at most that level's total. The bound holds at the root, and each step
+restores it, so every field of every level fits in w bits.
 
 Each row is keyed by one int holding its prefix: field i, bits k*i ..
 k*i + k - 1, holds a_{i+1}, with k = bit length of N + 1 for the run, set
@@ -40,10 +42,11 @@ level n every a_j <= n + 1 (as a_m above), so between 1 and n + 2; a step
 from level n < N forms fields <= n + 2 <= N + 1 < 2^k, and next_level
 refuses a step that could form 2^k. The singleton move and the child move
 add one to fields holding at most n + 1, a walk's bound sets field j,
-cleared by the grouping mask, to a_{j-1}, and each walked key lowers field
-j of its group's top key by one per step, from a_j to v >= a_{j-1} + 1 >= 2.
-So keys are distinct iff prefixes are, and keys that agree off field j sort
-by a_j.
+cleared by the grouping mask, to a_{j-1} (the a_{m-1} walk's range end to
+a_{j-1} - 1 >= 0), and each walked key lowers field j of its group's top key
+by one per step, from a_j to v >= a_{j-1} + 1 >= 2, or for the a_{m-1} walk
+to v >= a_{j-1} >= 1. So keys are distinct iff prefixes are, and keys that
+agree off field j sort by a_j.
 
 sequence(m, N) sums away the coordinates no remaining level reads. Write
 pi_p for "keep (a_p,..,a_m)" and step_r for the children rule on r
@@ -82,6 +85,8 @@ key field is a coordinate of a full label, so the key bound is unchanged.
 from functools import cached_property
 from io import BytesIO
 from itertools import accumulate, repeat
+
+from .series import SeriesConsistencyError
 
 
 def label_children(lab: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -226,11 +231,26 @@ def next_level(ms: LabelMultiset) -> LabelMultiset:
     j < m, the sorted keys map each group of rows that agree off a_j to its
     largest key, and a running sum of the group's rows walks v down from
     there; for j = m - 1 each row starts at its own a_j, so the running sum
-    moves up one field per step. The loop counts j from 0. First the rows
-    are widened, if need be, so that (level + 1) * total() < 2^w: the one
-    re-layout, a few C-level passes over all the level's rows, giving the
-    same ints as moving one field at a time. A step that could form a key
-    field of 2^k, past the level its run was sized for, raises ValueError.
+    moves up one field per step. The loops count j from 0.
+
+    The j = m - 1 walk writes every child row once, with no lookup. Its
+    child at v has the key of the row at v - 1 plus one in every field, the
+    key of that row's j = m children, and no other group of the walk forms
+    that key. So the walk goes from its group's top key down to a_{m-1} =
+    a_{m-2}, that key included, and at each key writes the running sum from
+    the keys above plus the row's suffix sums (an absent row adds nothing);
+    a group of one key, at a_{m-1} = a_{m-2}, writes its suffix sums alone.
+    It runs first; the walks for j < m - 1 add into its rows. Every row of
+    a level has a_{m-2} <= a_{m-1} <= its group's top a_{m-1}, so the keys
+    walked, less those with no row, number the level's rows. A row outside
+    its walk would lose its children silently, so a step whose count
+    differs raises SeriesConsistencyError.
+
+    First the rows are widened, if need be, so that (level + 1) * total() <
+    2^w: the one re-layout, a few C-level passes over all the level's rows,
+    giving the same ints as moving one field at a time. A step that could
+    form a key field of 2^k, past the level its run was sized for, raises
+    ValueError.
     """
     m, w, k, src = ms.m, ms.w, ms.k, ms.rows
     if ms.level + 2 >= 1 << k:
@@ -244,10 +264,37 @@ def next_level(ms: LabelMultiset) -> LabelMultiset:
         return LabelMultiset(m, ms.level + 1, {0: _suffix_sums(src[0], w) << w}, w, k)
     mask = (1 << k) - 1
     ones = _pack((1,) * (m - 1), k)
-    rows = {key + ones: _suffix_sums(row, w) for key, row in src.items()}
     keys = sorted(src)
-    for j in range(m - 1):
-        shift = w if j == m - 2 else 0
+    get = src.get
+    rows = {}
+    walked = gaps = 0
+    j = m - 2  # a_{m-1}: the one walk that writes every child row of the step
+    step = 1 << k * j
+    clear = ~(mask * step)
+    for rest, top in {key & clear: key for key in keys}.items():
+        stop = rest + (rest >> k * (j - 1) & mask if j else 1) * step  # a_{m-1} = a_{m-2}
+        if top == stop:  # one key, with no walk children
+            rows[top + ones] = _suffix_sums(src[top], w)
+            walked += 1
+            continue
+        walk = range(top, stop - step, -step)
+        walked += len(walk)
+        run = 0
+        for key in walk:
+            row = get(key)
+            if row is None:
+                gaps += 1
+                rows[key + ones] = run
+                run <<= w
+            else:
+                rows[key + ones] = run + _suffix_sums(row, w)
+                run = (run << w) + row
+    if walked - gaps != len(src):
+        raise SeriesConsistencyError(
+            f"gtree, m={m}, level {ms.level + 1}: the a_{m - 1} walk reached "
+            f"{walked - gaps} of level {ms.level}'s {len(src)} rows"
+        )
+    for j in range(m - 2):
         step = 1 << k * j
         low = ones & step - 1  # one in each field below j
         clear = ~(mask * step)
@@ -255,7 +302,7 @@ def next_level(ms: LabelMultiset) -> LabelMultiset:
             stop = rest + (rest >> k * (j - 1) & mask if j else 1) * step  # v stops above a_{j-1}
             run = 0
             for key in range(top, stop, -step):
-                run = (run << shift) + src.get(key, 0)
+                run += get(key, 0)
                 child = key + low
                 rows[child] = rows.get(child, 0) + run
     return LabelMultiset(m, ms.level + 1, rows, w, k)

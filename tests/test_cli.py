@@ -297,6 +297,25 @@ class TestEngineRegistry:
         assert code == 1 and captured.out == ""
         assert captured.err == "internal consistency error: u-engine, m=2, t-order 3: a test fault\n"
 
+    def test_gtree_step_that_drops_a_row_exits_1(self, capsys, monkeypatch):
+        # level 4's row (3, 3) moved to (3, 2), below its group's stop
+        # a_2 = a_1, so the a_2 walk drops it
+        step = gtree.next_level
+
+        def dropping(ms):
+            if ms.level == 4:
+                rows = dict(ms.rows)
+                rows[gtree._pack((3, 2), ms.k)] = rows.pop(gtree._pack((3, 3), ms.k))
+                ms = gtree.LabelMultiset(ms.m, ms.level, rows, ms.w, ms.k)
+            return step(ms)
+
+        monkeypatch.setattr(gtree, "next_level", dropping)
+        code = main(["sequence", "-m", "3", "-n", "8"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("internal consistency error: gtree, m=3, level 5: ")
+
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("m, N, message", [(0, 3, "m must be >= 1"), (-1, 3, "m must be >= 1"),
                                                (2, -1, "N must be >= 0")], ids=["m=0", "m=-1", "N=-1"])

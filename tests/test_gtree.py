@@ -1,4 +1,5 @@
 import random
+import re
 import tracemalloc
 from itertools import accumulate
 
@@ -55,6 +56,46 @@ def next_counts_by_label(m, counts):
                 child = head + (v,) + tail
                 out[child] = out.get(child, 0) + s
     return out
+
+
+def next_rows_two_pass(ms):
+    """Reference: (rows, w) of the next level as next_level formed them when
+    it first wrote every row's suffix child, then walked each coordinate
+    below a_m and added the walk children in with a lookup each."""
+    m, w, k, src = ms.m, ms.w, ms.k, ms.rows
+    need = ((ms.level + 1) * ms.total()).bit_length()
+    if need > w:
+        old = w
+        w = -(-max(need, w * 5 // 4) // 8) * 8
+        src = gtree._widen(src, old, w)
+    if m == 1:
+        return {0: gtree._suffix_sums(src[0], w) << w}, w
+    mask = (1 << k) - 1
+    ones = gtree._pack((1,) * (m - 1), k)
+    rows = {key + ones: gtree._suffix_sums(row, w) for key, row in src.items()}
+    keys = sorted(src)
+    for j in range(m - 1):
+        shift = w if j == m - 2 else 0
+        step = 1 << k * j
+        low = ones & step - 1
+        clear = ~(mask * step)
+        for rest, top in {key & clear: key for key in keys}.items():
+            stop = rest + (rest >> k * (j - 1) & mask if j else 1) * step
+            run = 0
+            for key in range(top, stop, -step):
+                run = (run << shift) + src.get(key, 0)
+                child = key + low
+                rows[child] = rows.get(child, 0) + run
+    return rows, w
+
+
+def level_of(m, level, counts, w=gtree._W0, k=3):
+    """A hand-built level: counts by label, as rows keyed by prefix."""
+    rows = {}
+    for lab, c in counts.items():
+        key = gtree._pack(lab[:-1], k)
+        rows[key] = rows.get(key, 0) + (c << w * (lab[-1] - (lab[-2] if m > 1 else 1)))
+    return gtree.LabelMultiset(m, level, rows, w, k)
 
 
 class TestLabelChildren:
@@ -206,6 +247,52 @@ class TestLevels:
             for n, ms in enumerate(gtree.levels(m, 8)):
                 assert ms.counts == core.label_distribution(n, m)
 
+
+class TestOnePassStep:
+    @pytest.mark.parametrize("w0", [gtree._W0, 8])
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_rows_equal_two_pass_step(self, monkeypatch, m, w0):
+        # full levels from the root on, and every projection of each
+        monkeypatch.setattr(gtree, "_W0", w0)
+        for ms in gtree.levels(m, 12):
+            while True:
+                want, w = next_rows_two_pass(ms)
+                got = gtree.next_level(ms)
+                assert got.rows == want and got.w == w
+                if ms.m == 1:
+                    break
+                ms = gtree._drop_first(ms)
+
+    @pytest.mark.parametrize(
+        "m,counts",
+        [
+            # the a_1 walk passes the absent a_1 = 2 on its way down to 1
+            (2, {(3, 4): 1, (3, 6): 2, (1, 2): 3}),
+            # a_2 = 3 is absent between (2, 4) and (2, 2); (3, 5) walks down
+            # to a_2 = 3 over two absent rows, its stop among them
+            (3, {(2, 4, 4): 1, (2, 4, 6): 2, (2, 2, 5): 3, (3, 5, 5): 4, (1, 1, 3): 5}),
+            # a_3 walks with gaps, and the walks for a_1 and a_2 add into its rows
+            (4, {(1, 2, 5, 6): 1, (1, 2, 2, 2): 2, (2, 3, 6, 6): 3, (2, 2, 2, 3): 4}),
+        ],
+    )
+    def test_gaps_in_the_a_m_minus_1_walk(self, m, counts):
+        ms = level_of(m, 5, counts)
+        assert ms.counts == counts
+        want, w = next_rows_two_pass(ms)
+        got = gtree.next_level(ms)
+        assert got.rows == want and got.w == w
+        assert got.counts == next_counts_by_label(m, counts)
+
+    @pytest.mark.parametrize("prefix", [(3, 2), (5, 3)])
+    def test_row_outside_its_walk_raises(self, prefix):
+        # a_2 < a_1 puts the row below its group's stop a_2 = a_1, so the a_2
+        # walk never reaches it (for (5, 3) the walk is empty), and its
+        # children would be lost
+        rows = {gtree._pack(prefix, 3): 1, gtree._pack((2, 2), 3): 1}
+        ms = gtree.LabelMultiset(3, 5, rows, gtree._W0, 3)
+        msg = "gtree, m=3, level 6: the a_2 walk reached 1 of level 5's 2 rows"
+        with pytest.raises(series.SeriesConsistencyError, match=f"^{re.escape(msg)}$"):
+            gtree.next_level(ms)
 
 WIDENINGS = [(8, 16), (64, 80), (80, 104), (552, 696)]
 
