@@ -17,8 +17,9 @@ decimal are imported where they are used.
 Arguments are read from the COMMANDS table by _parse, not by argparse,
 whose import and parser build took about half the time of a
 `sequence -m 2 -n 31 --engine xseries` call. An integer option's kind in
-COMMANDS is its least value, so the table holds every range check too. main
-returns the exit code of every argv; each usage error is a ValueError.
+COMMANDS is its least value, so the table holds every lower bound too; an
+engine's largest N is in ENGINES, checked by cmd_sequence before any work.
+main returns the exit code of every argv; each usage error is a ValueError.
 """
 
 import os
@@ -31,15 +32,16 @@ from . import __version__, gtree
 from .series import SeriesConsistencyError
 
 
-# Engine name -> (module, function) of fn(m, N), the counts for sizes 0..N.
-ENGINES = {"oracle": ("core", "nonnesting_sequence"), "gtree": ("gtree", "sequence"),
-           "useries": ("series", "u_engine"), "xseries": ("series", "x_engine")}
+# Engine name -> (module, function, largest N or None) of fn(m, N), the counts
+# for sizes 0..N. The oracle's 13 is core.ORACLE_LIMIT, written out: cli loads no core.
+ENGINES = {"oracle": ("core", "nonnesting_sequence", 13), "gtree": ("gtree", "sequence", None),
+           "useries": ("series", "u_engine", None), "xseries": ("series", "x_engine", None)}
 
 
 def engine_fn(name: str):
     """ENGINES[name]'s function, looked up at call time, so that an engine
     rebound on its module (as perfbench's tracer does) is the one that runs."""
-    module, fn = ENGINES[name]
+    module, fn, _ = ENGINES[name]
     return getattr(import_module(f".{module}", __package__), fn)
 
 
@@ -62,6 +64,9 @@ def _make_record(m, engine, terms, timestamp=None, wall_time=None):
 
 def cmd_sequence(args) -> int:
     m, N, engine = args.max_nesting, args.terms, args.engine
+    top = ENGINES[engine][2]
+    if top is not None and N > top:
+        raise ValueError(f"option -n/--terms: engine {engine} accepts at most {top}, not {N}")
     cache_path = terms = None
     if args.cache_dir is not None:
         from . import cache

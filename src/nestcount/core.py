@@ -339,7 +339,8 @@ def _nesting_crossing_walk(n):
 
 @lru_cache(maxsize=None)
 def _joint_profile(n):
-    """_nesting_crossing_walk(n), walked once per size for every oracle count."""
+    """_nesting_crossing_walk(n) for n <= ORACLE_LIMIT, walked once per size."""
+    check_oracle_scale(n)
     return _nesting_crossing_walk(n)
 
 
@@ -348,7 +349,6 @@ def count_nonnesting(n: int, m: int) -> int:
     i.e. (m+1)-nonnesting partitions, by exhaustive enumeration. Refuses
     n > ORACLE_LIMIT.
     """
-    check_oracle_scale(n)
     return sum(c for (ne, _), c in _joint_profile(n).items() if ne <= m)
 
 
@@ -367,7 +367,6 @@ def nonnesting_sequence(m: int, N: int) -> list[int]:
 def count_noncrossing(n: int, m: int) -> int:
     """Same as count_nonnesting with crossings; exists to test
     the nesting/crossing equidistribution. Refuses n > ORACLE_LIMIT."""
-    check_oracle_scale(n)
     return sum(c for (_, cr), c in _joint_profile(n).items() if cr <= m)
 
 
@@ -384,5 +383,4 @@ def label_distribution(n: int, m: int) -> dict:
 
 def joint_nesting_crossing(n: int) -> dict:
     """Map (max_nesting, max_crossing) -> count over all partitions of [n]."""
-    check_oracle_scale(n)
     return dict(_joint_profile(n))

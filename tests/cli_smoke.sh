@@ -61,6 +61,13 @@ test "$code" = 2  # a value below an option's least is a usage error that names 
 test ! -s "$cache/usage.out"
 test "$(wc -l < "$cache/usage.err")" = 1
 grep -q '^error: .*--size' "$cache/usage.err"
+code=0
+nestcount sequence -m 2 -n 14 --engine oracle --cache-dir "$cache/never" > "$cache/usage.out" 2> "$cache/usage.err" || code=$?
+test "$code" = 2  # past an engine's ceiling: refused before --cache-dir is created
+test ! -s "$cache/usage.out"
+test "$(wc -l < "$cache/usage.err")" = 1
+grep -q '^error: .*--terms' "$cache/usage.err"
+test ! -e "$cache/never"
 { nestcount sequence -m 2 -n 10 || test $? = 141; } 2> "$cache/pipe.err" | true
 test ! -s "$cache/pipe.err"  # a reader that closes stdout early: exit 141, no traceback
 nestcount verify --suite table1

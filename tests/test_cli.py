@@ -316,6 +316,38 @@ class TestEngineRegistry:
         assert captured.err.count("\n") == 1
         assert captured.err.startswith("internal consistency error: gtree, m=3, level 5: ")
 
+    @pytest.mark.parametrize("under_file", [False, True], ids=["new-dir", "dir-under-file"])
+    def test_ceiling_refused_before_cache_dir(self, capsys, tmp_path, under_file):
+        # the oracle's ceiling was once met only in core, after --cache-dir
+        # was created and every source file hashed; a --cache-dir under a
+        # regular file then gave the cache error instead
+        parent = tmp_path
+        if under_file:
+            parent = tmp_path / "file"
+            parent.write_text("")
+        code = main(["sequence", "-m", "2", "-n", "14", "--engine", "oracle",
+                     "--cache-dir", str(parent / "new")])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: option -n/--terms: engine oracle accepts at most 13, not 14\n"
+        assert not (parent / "new").exists()
+
+    def test_oracle_ceiling_is_cores(self):
+        assert ENGINES["oracle"][2] == core.ORACLE_LIMIT
+
+    def test_ceilings_drive_cross_engine_and_sequence(self, capsys, monkeypatch):
+        monkeypatch.setitem(ENGINES, "capped", ("gtree", "sequence", 5))
+        monkeypatch.setitem(ENGINES, "uncapped", ("gtree", "sequence", None))
+        code, out = run_cli(capsys, "verify", "--suite", "cross-engine", "-m", "2", "-n", "6")
+        assert code == 0
+        assert "PASS cross-engine uncapped: m=2, N=6 vs gtree\n" in out
+        assert "cross-engine capped" not in out
+        assert main(["sequence", "-m", "2", "-n", "6", "--engine", "capped"]) == 2
+        assert capsys.readouterr().err == (
+            "error: option -n/--terms: engine capped accepts at most 5, not 6\n")
+        code, out = run_cli(capsys, "sequence", "-m", "2", "-n", "5", "--engine", "capped")
+        assert code == 0 and out.splitlines()[-1] == "5,52"
+
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("m, N, message", [(0, 3, "m must be >= 1"), (-1, 3, "m must be >= 1"),
                                                (2, -1, "N must be >= 0")], ids=["m=0", "m=-1", "N=-1"])
