@@ -7,12 +7,13 @@ by first appearance. Its standard representation is the arc diagram joining
 consecutive elements of each block in numerical order; nesting and crossing
 statistics are read off that diagram. The oracle counts them in one walk
 over RGS prefixes that adds one arc per step and carries, per open block,
-its last element, the largest depth of an arc opening right of it and the
-patience tails of the arcs spanning it, so a step costs O(blocks). It
-places n - 1 and n together, reading their arcs' depths and crossings off
-the blocks of [n - 2] without building more, and tallies into a table of
-side n // 2 + 1, since a k-nesting or k-crossing needs 2k elements. The
-per-diagram functions are the definitions that walk is tested against.
+its last element, the largest depth of an arc opening right of it, the
+patience tails of the arcs spanning it and their count, so a step costs
+O(blocks). It places n - 1 and n together, reading their arcs' depths and
+crossings off the blocks of [n - 2] in one tally pass without building
+more, and tallies into a table of side n // 2 + 1, since a k-nesting or
+k-crossing needs 2k elements. The per-diagram functions are the
+definitions that walk is tested against.
 
 Everything here is exhaustive-enumeration scale (Bell-number growth); the
 fast counting lives in `gtree` and `series`.
@@ -275,21 +276,30 @@ def _nesting_crossing_walk(n):
     so far, so its depth is 1 + the largest depth of an arc opening right
     of a, and its crossing number 1 + the longest chain of increasing
     opens, in close order, of arcs spanning a. Each open block carries
-    (last, deep, tails): that largest depth for a = last (0 if none) and
-    the patience tails of those opens (tails[k]: least last open of an
-    increasing chain of k + 1), so a join reads deep + 1 and len(tails) + 1.
-    Every other last element l is < i, so the new arc spans l iff a < l
-    (a goes into l's tails) and opens right of l iff a > l (its depth into
-    l's deep); the joined block restarts as (i, 0, ()). Arcs close in
-    increasing order, so inserting each open as its arc closes builds the
-    tails a batch pass in close order would. No closed arc opens at a, the
-    last element of its block, and opens are distinct, so nothing ties.
+    (last, deep, tails, count): that largest depth for a = last (0 if
+    none), the patience tails of those opens (tails[k]: least last open of
+    an increasing chain of k + 1) and count = len(tails), so a join reads
+    deep + 1 and count + 1. Every other last element l is < i, so the new
+    arc spans l iff a < l and opens right of l iff a > l (its depth into
+    l's deep). In the first case a goes into l's tails at k =
+    bisect_left(tails, a), replacing tails[k] or, when k == count,
+    appending, so count becomes count + (k == count). The joined block
+    restarts as (i, 0, (), 0). Arcs close in increasing order, so
+    inserting each open as its arc closes builds the tails a batch pass in
+    close order would. No closed arc opens at a, the last element of its
+    block, and opens are distinct, so nothing ties.
 
-    n - 1 and n are placed together, building no blocks. After n - 1 joins
-    a, with maxima (ne', cr'): n alone and n joined to n - 1 add 2 at
-    (ne', cr'); n joined to l < a has depth max(deep + 1, dl) + 1 and
-    crossing len(tl) + 1; n joined to l > a has depth dl + 1 and crossing
-    len(tl) + 1, plus 1 iff a exceeds every tail of l (only then is a
+    n - 1 and n are placed together, building no blocks. If n - 1 is a
+    singleton, n alone adds 1 at (ne, cr) and n joined to n - 1 adds 1 at
+    (max(ne, 1), max(cr, 1)). n joined to a then reads what n - 1 joined
+    to a reads: the singleton n - 1 spans no arc and opens none, so the
+    arcs opening right of a and the arcs spanning a are the same for
+    (a, n) as for (a, n - 1), and so are its depth and crossing. So after
+    n - 1 joins a, with maxima (ne', cr'), three placements of n land at
+    (ne', cr'): n joined to a with n - 1 alone, n alone, and n joined to
+    n - 1. Then n joined to l < a has depth max(deep + 1, dl) + 1 and
+    crossing cl + 1; n joined to l > a has depth dl + 1 and crossing
+    cl + 1, plus 1 iff a exceeds every tail of l (only then is a
     appended). A k-nesting or k-crossing needs 2k elements, so the counts
     go into a table of side n // 2 + 1.
     """
@@ -299,38 +309,33 @@ def _nesting_crossing_walk(n):
         return {(0, 0): 1}
     tally = [[0] * (n // 2 + 1) for _ in range(n // 2 + 1)]
 
-    def leaf(blocks, ne, cr):
-        tally[ne][cr] += 1
-        for _, d, t in blocks:
-            d, c = d + 1, len(t) + 1
-            tally[d if d > ne else ne][c if c > cr else cr] += 1
-
     def grow(i, blocks, ne, cr):
         if i == n - 1:
-            leaf(blocks + [(i, 0, ())], ne, cr)
-            for a, d, t in blocks:
-                d, c = d + 1, len(t) + 1
+            tally[ne][cr] += 1  # n - 1 and n alone
+            tally[ne or 1][cr or 1] += 1  # n joined to the singleton n - 1
+            for a, d, _, c in blocks:
+                d, c = d + 1, c + 1
                 ne2, cr2 = (d if d > ne else ne), (c if c > cr else cr)
-                tally[ne2][cr2] += 2
-                for l, dl, tl in blocks:
+                tally[ne2][cr2] += 3
+                for l, dl, tl, cl in blocks:
                     if l < a:
-                        e, c = (d if d > dl else dl) + 1, len(tl) + 1
+                        e, c = (d if d > dl else dl) + 1, cl + 1
                     elif l > a:
-                        e, c = dl + 1, len(tl) + (not tl or tl[-1] < a) + 1
+                        e, c = dl + 1, cl + (not cl or tl[-1] < a) + 1
                     else:
                         continue
                     tally[e if e > ne2 else ne2][c if c > cr2 else cr2] += 1
             return
-        grow(i + 1, blocks + [(i, 0, ())], ne, cr)
-        for a, d, t in blocks:
-            d, c = d + 1, len(t) + 1
-            kids = [(i, 0, ())]
-            for l, dl, tl in blocks:
+        grow(i + 1, blocks + [(i, 0, (), 0)], ne, cr)
+        for a, d, _, c in blocks:
+            d, c = d + 1, c + 1
+            kids = [(i, 0, (), 0)]
+            for l, dl, tl, cl in blocks:
                 if l < a:
-                    kids.append((l, d if d > dl else dl, tl))
+                    kids.append((l, d if d > dl else dl, tl, cl))
                 elif l > a:
                     k = bisect_left(tl, a)
-                    kids.append((l, dl, tl[:k] + (a,) + tl[k + 1 :]))
+                    kids.append((l, dl, tl[:k] + (a,) + tl[k + 1 :], cl + (k == cl)))
             grow(i + 1, kids, d if d > ne else ne, c if c > cr else cr)
 
     grow(1, [], 0, 0)

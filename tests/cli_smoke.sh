@@ -32,6 +32,11 @@ for engine in oracle useries xseries; do
   diff <(nestcount sequence -m 2 -n 10 --engine gtree) <(nestcount sequence -m 2 -n 10 --engine $engine)
 done
 nestcount stats -n 6
+# stats -n 10 counts Bell(10) = 115975 partitions, with equal nesting and crossing marginals
+nestcount stats -n 10 | awk -F, 'NR > 1 { total += $3; ne[$1] += $3; cr[$2] += $3 }
+    END { for (k in ne) if (ne[k] != cr[k]) exit 1
+          for (k in cr) if (ne[k] != cr[k]) exit 1
+          exit total != 115975 }'
 nestcount labels -m 2 -n 5 --engine oracle
 cache=$(mktemp -d)
 trap 'rm -rf "$cache"' EXIT

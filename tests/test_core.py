@@ -111,6 +111,54 @@ def arc_scanning_walk(n):
     return counts
 
 
+# The oracle's walk before it carried each block's tail count and folded the
+# n - 1 singleton's leaf into the join branch: it calls len(tails) for every
+# crossing number and tallies n joined to block a twice over.
+def unfolded_walk(n):
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if n < 2:
+        return {(0, 0): 1}
+    tally = [[0] * (n // 2 + 1) for _ in range(n // 2 + 1)]
+
+    def leaf(blocks, ne, cr):
+        tally[ne][cr] += 1
+        for _, d, t in blocks:
+            d, c = d + 1, len(t) + 1
+            tally[d if d > ne else ne][c if c > cr else cr] += 1
+
+    def grow(i, blocks, ne, cr):
+        if i == n - 1:
+            leaf(blocks + [(i, 0, ())], ne, cr)
+            for a, d, t in blocks:
+                d, c = d + 1, len(t) + 1
+                ne2, cr2 = (d if d > ne else ne), (c if c > cr else cr)
+                tally[ne2][cr2] += 2
+                for l, dl, tl in blocks:
+                    if l < a:
+                        e, c = (d if d > dl else dl) + 1, len(tl) + 1
+                    elif l > a:
+                        e, c = dl + 1, len(tl) + (not tl or tl[-1] < a) + 1
+                    else:
+                        continue
+                    tally[e if e > ne2 else ne2][c if c > cr2 else cr2] += 1
+            return
+        grow(i + 1, blocks + [(i, 0, ())], ne, cr)
+        for a, d, t in blocks:
+            d, c = d + 1, len(t) + 1
+            kids = [(i, 0, ())]
+            for l, dl, tl in blocks:
+                if l < a:
+                    kids.append((l, d if d > dl else dl, tl))
+                elif l > a:
+                    k = bisect_left(tl, a)
+                    kids.append((l, dl, tl[:k] + (a,) + tl[k + 1 :]))
+            grow(i + 1, kids, d if d > ne else ne, c if c > cr else cr)
+
+    grow(1, [], 0, 0)
+    return {(ne, cr): c for ne, row in enumerate(tally) for cr, c in enumerate(row) if c}
+
+
 class TestSetPartition:
     def test_rgs_validation(self):
         with pytest.raises(ValueError):
@@ -366,6 +414,10 @@ class TestCounts:
     @pytest.mark.parametrize("n", range(11))
     def test_walk_equals_arc_scanning_reference(self, n):
         assert core.joint_nesting_crossing(n) == dict(arc_scanning_walk(n))
+
+    @pytest.mark.parametrize("n", range(12))
+    def test_walk_equals_unfolded_walk(self, n):
+        assert core.joint_nesting_crossing(n) == unfolded_walk(n)
 
     @pytest.mark.parametrize("n", range(12))
     def test_walk_total_is_bell_and_marginals_agree(self, n):
